@@ -12,6 +12,7 @@ open Dataflow
 type t = {
   loop_id : int;
   units : int list;
+  scope : (int, unit) Hashtbl.t;  (** membership table of [units] *)
   ii : Cycle_ratio.result;    (** token/latency bound over cycles *)
   mem_ii : int;               (** memory-port bound: accesses per port *)
 }
@@ -53,6 +54,7 @@ let of_loop g loop_id =
   {
     loop_id;
     units;
+    scope;
     ii = Cycle_ratio.compute edges;
     mem_ii = memory_port_bound g units;
   }
@@ -66,7 +68,7 @@ let all g = List.map (of_loop g) (loop_ids g)
 let critical g ~critical_loops =
   List.map (of_loop g) critical_loops
 
-let mem cfc uid = List.mem uid cfc.units
+let mem cfc uid = Hashtbl.mem cfc.scope uid
 
 (** Achievable II of the CFC: the larger of the cycle-ratio bound and the
     memory-port bound; [None] when a token-free cycle makes it unbounded. *)

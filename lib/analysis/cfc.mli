@@ -9,6 +9,7 @@
 type t = {
   loop_id : int;
   units : int list;
+  scope : (int, unit) Hashtbl.t;  (** membership table of [units]; see {!mem} *)
   ii : Cycle_ratio.result;  (** token/latency bound over cycles *)
   mem_ii : int;             (** memory-port bound: accesses per port *)
 }
@@ -26,6 +27,7 @@ val all : Dataflow.Graph.t -> t list
 (** The performance-critical CFCs (one per loop in [critical_loops]). *)
 val critical : Dataflow.Graph.t -> critical_loops:int list -> t list
 
+(** Is the unit in the CFC?  A hash lookup. *)
 val mem : t -> int -> bool
 
 (** Achievable II: the larger of the cycle-ratio and memory-port bounds;

@@ -10,18 +10,16 @@ type t = {
   sccs : (int * Analysis.Scc.t) list;  (** critical loop id -> CFC SCCs *)
 }
 
-let succ_in g scope uid =
-  List.filter (Hashtbl.mem scope) (Graph.successors g uid)
+let succ_in g in_scope uid = List.filter in_scope (Graph.successors g uid)
 
 let make graph ~critical_loops =
   let critical = Analysis.Cfc.critical graph ~critical_loops in
   let sccs =
     List.map
       (fun (cfc : Analysis.Cfc.t) ->
-        let scope = Hashtbl.create 97 in
-        List.iter (fun u -> Hashtbl.replace scope u ()) cfc.units;
         let scc =
-          Analysis.Scc.compute ~nodes:cfc.units ~succ:(succ_in graph scope)
+          Analysis.Scc.compute ~nodes:cfc.units
+            ~succ:(succ_in graph (Analysis.Cfc.mem cfc))
         in
         (cfc.loop_id, scc))
       critical

@@ -8,9 +8,9 @@ type t = {
   sccs : (int * Analysis.Scc.t) list;  (** critical loop id -> CFC SCCs *)
 }
 
-(** Successors of a unit restricted to a scope table (helper shared with
-    the rule checks). *)
-val succ_in : Dataflow.Graph.t -> (int, unit) Hashtbl.t -> int -> int list
+(** Successors of a unit restricted to the units satisfying [in_scope]
+    (helper shared with the rule checks). *)
+val succ_in : Dataflow.Graph.t -> (int -> bool) -> int -> int list
 
 val make : Dataflow.Graph.t -> critical_loops:int list -> t
 

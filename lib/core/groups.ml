@@ -76,7 +76,7 @@ let check_r3 ?cache ctx ops =
               else begin
                 let scope = Hashtbl.create 17 in
                 List.iter (fun u -> Hashtbl.replace scope u ()) members;
-                let succ = Context.succ_in ctx.Context.graph scope in
+                let succ = Context.succ_in ctx.Context.graph (Hashtbl.mem scope) in
                 let dist u target =
                   let key = (cfc.loop_id, cid, u, target) in
                   match Hashtbl.find_opt cache key with

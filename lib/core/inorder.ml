@@ -10,7 +10,8 @@
       the whole unit latency into the dependency cycle (Figure 2: II 4
       instead of 2), so fewer groups are legal — the optimizer must
       re-evaluate the circuit's performance model for every candidate
-      merge, which is the ~10x optimization-time cost vs CRUSH;
+      merge, which is its optimization-time cost vs CRUSH (~5x on the
+      kernels);
     - opportunity: operations under divergent control flow cannot be
       ordered by BB sequence at all (absent tokens would stall the
       rotation), so the irregular kernels (gsum/gsumif) share little.
@@ -58,52 +59,53 @@ let bb_legal g ~conditional_bbs ops =
       else if List.for_all (( = ) b0) rest then true
       else List.for_all (fun b -> not (List.mem b conditional_bbs)) bbs
 
+(* The timed graph of one critical CFC with the rotation ring of the
+   group's members in it added; [None] when fewer than two members sit in
+   the CFC (no ring). *)
+let rotation_graph ctx (cfc : Analysis.Cfc.t) ops =
+  let g = ctx.Context.graph in
+  match program_order g (List.filter (Analysis.Cfc.mem cfc) ops) with
+  | [] | [ _ ] -> None
+  | first :: _ as members ->
+      let edges = Analysis.Timed_graph.edges g ~in_scope:(Analysis.Cfc.mem cfc) in
+      (* Rotation ring: each member hands the turn to the next after
+         occupying the first pipeline stage (1 cycle); one turn token
+         circulates. *)
+      let rec ring acc = function
+        | a :: (b :: _ as rest) ->
+            ring
+              ({ Analysis.Timed_graph.src = a; dst = b; latency = 1; tokens = 0 }
+              :: acc)
+              rest
+        | [ last ] ->
+            { Analysis.Timed_graph.src = last; dst = first; latency = 1; tokens = 1 }
+            :: acc
+        | [] -> acc
+      in
+      Some (ring edges members)
+
 (* The expensive check: recompute every critical CFC's cycle ratio with
    the rotation ring added, and require the II to be preserved. *)
 let rotation_preserves_ii ctx ops =
-  let g = ctx.Context.graph in
   List.for_all
     (fun (cfc : Analysis.Cfc.t) ->
-      let base = Analysis.Cfc.ii_value cfc in
-      let members =
-        program_order g (List.filter (fun o -> Analysis.Cfc.mem cfc o) ops)
-      in
-      if List.length members < 2 then true
-      else begin
-        let scope = Hashtbl.create 97 in
-        List.iter (fun u -> Hashtbl.replace scope u ()) cfc.units;
-        let edges = Analysis.Timed_graph.edges g ~in_scope:(Hashtbl.mem scope) in
-        (* Rotation ring: each member hands the turn to the next after
-           occupying the first pipeline stage (1 cycle); one turn token
-           circulates. *)
-        let rec ring acc = function
-          | a :: (b :: _ as rest) ->
-              ring
-                ({ Analysis.Timed_graph.src = a; dst = b; latency = 1; tokens = 0 }
-                :: acc)
-                rest
-          | [ last ] ->
-              { Analysis.Timed_graph.src = last; dst = List.hd members;
-                latency = 1; tokens = 1 }
-              :: acc
-          | [] -> acc
-        in
-        let edges = ring edges members in
-        (* Both IIs come from a binary search with absolute precision
-           ~1e-4; a real rotation penalty is at least a fraction of a
-           cycle, so compare with a tolerance well above the search
-           noise and well below any genuine penalty. *)
-        match (Analysis.Cycle_ratio.compute edges, base) with
-        | Analysis.Cycle_ratio.Ratio r, Some b -> r <= b +. 0.1
-        | Analysis.Cycle_ratio.Ratio _, None -> false
-        | Analysis.Cycle_ratio.Acyclic, _ -> true
-        | Analysis.Cycle_ratio.Unbounded, _ -> false
-      end)
+      match rotation_graph ctx cfc ops with
+      | None -> true
+      | Some edges -> (
+          (* Both IIs come from a binary search with absolute precision
+             ~1e-4; a real rotation penalty is at least a fraction of a
+             cycle, so compare with a tolerance well above the search
+             noise and well below any genuine penalty. *)
+          match (Analysis.Cycle_ratio.compute edges, Analysis.Cfc.ii_value cfc) with
+          | Analysis.Cycle_ratio.Ratio r, Some b -> r <= b +. 0.1
+          | Analysis.Cycle_ratio.Ratio _, None -> false
+          | Analysis.Cycle_ratio.Acyclic, _ -> true
+          | Analysis.Cycle_ratio.Unbounded, _ -> false))
     ctx.Context.critical
 
 (** Apply In-order sharing to [graph] in place. *)
 let share ?shareable graph ~critical_loops ~conditional_bbs =
-  let t0 = Sys.time () in
+  let t0 = Monotonic_clock.now () in
   let evaluations = ref 0 in
   let ctx = Context.make graph ~critical_loops in
   let candidates = Context.candidates ?shareable ctx in
@@ -176,6 +178,6 @@ let share ?shareable graph ~critical_loops ~conditional_bbs =
   {
     groups = shared;
     singles = List.length !groups - List.length to_share;
-    opt_time_s = Sys.time () -. t0;
+    opt_time_s = Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) *. 1e-9;
     evaluations = !evaluations;
   }

@@ -3,12 +3,13 @@
     basic-block order — strict per-iteration rotation within a loop,
     program order across nests — and every candidate merge is vetted by
     re-running the performance model with the rotation ring added, which
-    is the source of its ~10x optimization-time cost against CRUSH. *)
+    is the source of its optimization-time cost against CRUSH (~5x on
+    the kernels). *)
 
 type report = {
   groups : Share.shared_group list;
   singles : int;
-  opt_time_s : float;
+  opt_time_s : float;  (** wall-clock, as {!Share.report} *)
   evaluations : int;  (** performance-model evaluations performed *)
 }
 
@@ -16,6 +17,13 @@ type report = {
     divergent control flow, unless all members share one BB.  Exposed for
     the tests. *)
 val bb_legal : Dataflow.Graph.t -> conditional_bbs:int list -> int list -> bool
+
+(** The timed graph of one critical CFC with the rotation ring over the
+    group's members in that CFC (program order, one circulating turn
+    token) added; [None] when fewer than two members lie in the CFC.
+    Exposed for the tests. *)
+val rotation_graph :
+  Context.t -> Analysis.Cfc.t -> int list -> Analysis.Timed_graph.edge list option
 
 (** The expensive feasibility check: cycle ratio of every critical CFC
     with the group's rotation ring added must not exceed the CFC's II. *)

@@ -18,11 +18,9 @@ let rank_in ctx loop_id =
       ctx.Context.critical
   in
   let scc = Context.sccs_of ctx loop_id in
-  let scope = Hashtbl.create 97 in
-  List.iter (fun u -> Hashtbl.replace scope u ()) cfc.units;
   let ranks =
     Analysis.Scc.topological_order scc ~nodes:cfc.units
-      ~succ:(Context.succ_in ctx.Context.graph scope)
+      ~succ:(Context.succ_in ctx.Context.graph (Analysis.Cfc.mem cfc))
   in
   fun uid ->
     match Analysis.Scc.component_of scc uid with

@@ -6,7 +6,10 @@
     the circuit with credit-based sharing wrappers.  The heuristics use
     only scalable graph analyses — no per-candidate re-evaluation of the
     performance model — which is where the paper's ~90% optimization-time
-    reduction over the In-order baseline comes from. *)
+    reduction over the In-order baseline comes from.  How large that gap
+    is depends on the cost of one evaluation: with the packed-array
+    cycle-ratio solver, In-order pays ~5x CRUSH's time on the kernels
+    (81% reduction; EXPERIMENTS.md). *)
 
 open Dataflow
 
@@ -20,7 +23,9 @@ type shared_group = {
 type report = {
   groups : shared_group list;
   singles : int;       (** candidate operations left unshared *)
-  opt_time_s : float;  (** wall-clock optimization time *)
+  opt_time_s : float;
+      (** wall-clock optimization time, on the monotonic clock (process
+          CPU time would also count other domains' work) *)
 }
 
 (** Apply CRUSH to [graph] in place.  [critical_loops] identifies the
@@ -32,7 +37,7 @@ type report = {
     [credit_fn] overrides the credit allocation of Equation 3. *)
 let crush ?shareable ?enforce_r3 ?(reverse_priority = false) ?credit_fn graph
     ~critical_loops =
-  let t0 = Sys.time () in
+  let t0 = Monotonic_clock.now () in
   let ctx = Context.make graph ~critical_loops in
   let groups = Groups.infer ?shareable ?enforce_r3 ctx in
   let to_share = Groups.sharing_groups groups in
@@ -57,7 +62,7 @@ let crush ?shareable ?enforce_r3 ?(reverse_priority = false) ?credit_fn graph
   {
     groups = shared;
     singles = List.length groups - List.length to_share;
-    opt_time_s = Sys.time () -. t0;
+    opt_time_s = Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) *. 1e-9;
   }
 
 let pp_report ppf r =

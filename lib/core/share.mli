@@ -17,7 +17,9 @@ type shared_group = {
 type report = {
   groups : shared_group list;
   singles : int;       (** candidate operations left unshared *)
-  opt_time_s : float;  (** wall-clock optimization time *)
+  opt_time_s : float;
+      (** wall-clock optimization time, on the monotonic clock (process
+          CPU time would also count other domains' work) *)
 }
 
 (** [crush graph ~critical_loops] applies CRUSH to [graph] in place.

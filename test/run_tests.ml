@@ -13,6 +13,7 @@ let () =
       ("sim", Test_sim.suite);
       ("frontend", Test_frontend.suite);
       ("analysis", Test_analysis.suite);
+      ("cycle_ratio", Test_cycle_ratio.suite);
       ("crush", Test_crush.suite);
       ("kernels", Test_kernels.suite);
       ("extensions", Test_extensions.suite);

@@ -401,6 +401,100 @@ let test_inorder_pays_evaluations () =
   checkb "repeated performance evaluations" (r.Crush.Inorder.evaluations > 1)
 
 (* ------------------------------------------------------------------ *)
+(* Sharing decisions on large circuits, pinned so that a change to the
+   analysis cannot silently change which units get shared. *)
+
+let gesummv_x factor =
+  let _, ast = Kernels.Registry.gesummv_unrolled ~n:75 ~factor in
+  Minic.Codegen.compile ast
+
+let check_crush_pin factor sizes singles =
+  let c = gesummv_x factor in
+  let r =
+    Crush.Share.crush c.Minic.Codegen.graph
+      ~critical_loops:c.Minic.Codegen.critical_loops
+  in
+  check Alcotest.(list int)
+    (Fmt.str "x%d group sizes" factor)
+    sizes
+    (List.map (fun (g : Crush.Share.shared_group) -> List.length g.members) r.groups);
+  checki (Fmt.str "x%d singles" factor) singles r.singles
+
+let test_crush_gesummv_pins () =
+  check_crush_pin 5 [ 11; 12 ] 0;
+  check_crush_pin 15 [ 31; 32 ] 0;
+  check_crush_pin 25 [ 51; 52 ] 0
+
+let test_crush_table1_pin () = check_crush_pin 75 [ 2; 150; 150 ] 1
+
+let test_inorder_gesummv_pins () =
+  List.iter
+    (fun (factor, sizes, evaluations) ->
+      let c = gesummv_x factor in
+      let r =
+        Crush.Inorder.share c.Minic.Codegen.graph
+          ~critical_loops:c.Minic.Codegen.critical_loops
+          ~conditional_bbs:c.Minic.Codegen.conditional_bbs
+      in
+      check Alcotest.(list int)
+        (Fmt.str "x%d group sizes" factor)
+        sizes
+        (List.map (fun (g : Crush.Share.shared_group) -> List.length g.members) r.groups);
+      checki (Fmt.str "x%d singles" factor) 0 r.singles;
+      checki (Fmt.str "x%d evaluations" factor) evaluations r.evaluations)
+    [ (3, [ 7; 8 ], 13); (5, [ 11; 12 ], 21) ]
+
+(* opt_time_s is wall-clock time: a second domain burning CPU during the
+   pass must not count, so it never exceeds the wall time around the
+   call (process CPU time would read about twice that on two cores). *)
+let test_opt_time_is_wall_clock () =
+  let started = Atomic.make false and stop = Atomic.make false in
+  let busy =
+    Domain.spawn (fun () ->
+        Atomic.set started true;
+        while not (Atomic.get stop) do
+          ignore (Sys.opaque_identity (ref 0))
+        done)
+  in
+  while not (Atomic.get started) do
+    Domain.cpu_relax ()
+  done;
+  let wall f =
+    let t0 = Monotonic_clock.now () in
+    let opt_time_s = f () in
+    (opt_time_s, Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) *. 1e-9)
+  in
+  let runs =
+    [
+      ( "crush",
+        wall (fun () ->
+            let c = gesummv_x 25 in
+            let r =
+              Crush.Share.crush c.Minic.Codegen.graph
+                ~critical_loops:c.Minic.Codegen.critical_loops
+            in
+            r.opt_time_s) );
+      ( "inorder",
+        wall (fun () ->
+            let c = gesummv_x 5 in
+            let r =
+              Crush.Inorder.share c.Minic.Codegen.graph
+                ~critical_loops:c.Minic.Codegen.critical_loops
+                ~conditional_bbs:c.Minic.Codegen.conditional_bbs
+            in
+            r.opt_time_s) );
+    ]
+  in
+  Atomic.set stop true;
+  Domain.join busy;
+  List.iter
+    (fun (name, (opt_time_s, wall_s)) ->
+      checkb
+        (Fmt.str "%s: opt_time_s %.4f <= wall %.4f" name opt_time_s wall_s)
+        (opt_time_s > 0.0 && opt_time_s <= wall_s))
+    runs
+
+(* ------------------------------------------------------------------ *)
 (* Paper examples (Figures 1, 2, 5) *)
 
 let open_pe = ()
@@ -516,6 +610,10 @@ let suite =
     ("inorder: correct", `Slow, test_inorder_correct);
     ("inorder: needs BBs", `Quick, test_inorder_needs_bbs);
     ("inorder: pays evaluations", `Quick, test_inorder_pays_evaluations);
+    ("crush: gesummv x5/x15/x25 pins", `Quick, test_crush_gesummv_pins);
+    ("crush: Table 1 x75 pin", `Slow, test_crush_table1_pin);
+    ("inorder: gesummv x3/x5 pins", `Quick, test_inorder_gesummv_pins);
+    ("opt time: wall clock under a busy domain", `Quick, test_opt_time_is_wall_clock);
     ("paper: fig1a correct", `Quick, test_fig1_unshared_correct);
     ("paper: fig1b naive deadlock", `Quick, test_fig1b_naive_deadlocks);
     ("paper: fig1c credits", `Quick, test_fig1c_credits_complete_and_correct);
