@@ -1,13 +1,14 @@
 # Convenience driver.  `make check` is the tier-1 gate: full build,
 # unit + property tests, a short fixed-seed chaos sweep over all
 # kernels plus the fault-injection detection check, the sanitizer
-# smoke (faults convicted early, clean circuits silent), and the
-# bounded simulation-throughput smoke bench with its regression gate.
+# smoke (faults convicted early, clean circuits silent), the bounded
+# simulation-throughput smoke bench with its regression gate, and the
+# correctness gates of the optimize benchmark workload.
 
 DUNE ?= dune
 
 .PHONY: all build test chaos chaos-supervised crash-chaos sanitize-smoke \
-  bench-smoke serve-smoke faultfs-smoke fmt check clean
+  bench-smoke perf-smoke serve-smoke faultfs-smoke fmt check clean
 
 all: build
 
@@ -64,6 +65,13 @@ sanitize-smoke: build
 bench-smoke: build
 	$(DUNE) exec bench/main.exe -- smoke --jobs 4
 
+# Correctness gates of the repository benchmark on its optimize
+# workload (held-out seed 2, short window, traced): exits 1 if a shared
+# circuit computes a wrong result or a group count changes between
+# rounds.  Its timings are printed, never gated.
+perf-smoke: build
+	bash bench/perf/run.sh --workload optimize --seed 2 --seconds 2 --trace 1
+
 # Serving-layer smoke: boot a private `crush serve` daemon, drive it
 # with concurrent clients over a mixed workload (cache hits/misses,
 # malformed bodies, zero deadlines), protocol-chaos clients
@@ -103,7 +111,7 @@ fmt:
 	$(DUNE) build @fmt --auto-promote
 
 check: build test chaos chaos-supervised crash-chaos sanitize-smoke \
-  bench-smoke serve-smoke faultfs-smoke
+  bench-smoke perf-smoke serve-smoke faultfs-smoke
 
 clean:
 	$(DUNE) clean

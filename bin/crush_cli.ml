@@ -39,10 +39,23 @@ let technique_conv =
   in
   Arg.conv (parse, print)
 
+(** A name from a fixed list, checked while the command line is parsed:
+    an unknown one is a usage error (exit 2), not an escaped exception. *)
+let name_conv names =
+  let parse s =
+    if List.mem s names then Ok s
+    else Error (`Msg (Fmt.str "unknown benchmark %s (see crush list)" s))
+  in
+  Arg.conv (parse, Fmt.string)
+
+let bench_names =
+  List.map (fun (b : Kernels.Registry.bench) -> b.Kernels.Registry.name)
+    Kernels.Registry.all
+
 let bench_arg =
   Arg.(
     required
-    & pos 0 (some string) None
+    & pos 0 (some (name_conv bench_names)) None
     & info [] ~docv:"BENCH" ~doc:"Benchmark name (see $(b,crush list)).")
 
 let strategy_arg =
@@ -252,7 +265,7 @@ let obs_subject name strategy technique =
 let obs_kernel_arg =
   Arg.(
     required
-    & pos 0 (some string) None
+    & pos 0 (some (name_conv (bench_names @ [ "fig1"; "fig2"; "fig5" ]))) None
     & info [] ~docv:"KERNEL"
         ~doc:
           "Benchmark name (see $(b,crush list)) or paper example: fig1 \
@@ -394,7 +407,7 @@ let seed_arg =
 let kernel_arg =
   Arg.(
     value
-    & opt (some string) None
+    & opt (some (name_conv bench_names)) None
     & info [ "kernel" ] ~docv:"K"
         ~doc:"Restrict the sweep to one benchmark (default: all).")
 
@@ -2743,10 +2756,10 @@ let () =
   else
     (* Exit-code contract (pinned by the test suite): 0 success, 2 for
        CLI usage errors (unknown flag / missing argument / unknown
-       subcommand, with a one-line usage pointer), 125 for an escaped
-       exception; 10..17 are the per-class failure codes the subcommands
-       exit with themselves ({!Exec.Outcome.exit_code}), 17 being a lost
-       or preemptively killed worker process; 18
+       subcommand or benchmark name, with a one-line usage pointer), 125
+       for an escaped exception; 10..17 are the per-class failure codes
+       the subcommands exit with themselves ({!Exec.Outcome.exit_code}),
+       17 being a lost or preemptively killed worker process; 18
        ({!Exec.Interrupt.exit_code}) is a SIGTERM/SIGINT-interrupted but
        resumable sweep (rerun with the same --journal to continue). *)
     match Cmd.eval_value main with

@@ -57,81 +57,95 @@ let r3_cache () : r3_cache = Hashtbl.create 997
     same verdict without burning the budget once per (member, pair). *)
 let max_r3_scc_members = 48
 
-let check_r3 ?cache ctx ops =
-  let cache = match cache with Some c -> c | None -> r3_cache () in
+(** R3 on one pair of operations of a critical CFC: if [o] and [o'] lie
+    in the same SCC, every other SCC member must be at distinct maximum
+    distances from the two. *)
+let r3_pair_ok (cache : r3_cache) ctx (cfc : Analysis.Cfc.t) o o' =
+  let scc = Context.sccs_of ctx cfc.loop_id in
+  if not (Analysis.Scc.same_component scc o o') then true
+  else begin
+    match Analysis.Scc.component_of scc o with
+    | None -> true
+    | Some cid ->
+        let members = Analysis.Scc.members scc cid in
+        if List.length members > max_r3_scc_members then false
+        else begin
+          let scope = Hashtbl.create 17 in
+          List.iter (fun u -> Hashtbl.replace scope u ()) members;
+          let succ = Context.succ_in ctx.Context.graph (Hashtbl.mem scope) in
+          let dist u target =
+            let key = (cfc.loop_id, cid, u, target) in
+            match Hashtbl.find_opt cache key with
+            | Some r -> r
+            | None ->
+                let r =
+                  Analysis.Distances.max_distance ~succ
+                    ~in_scope:(Hashtbl.mem scope) ~budget:20_000 u target
+                in
+                Hashtbl.replace cache key r;
+                r
+          in
+          List.for_all
+            (fun u ->
+              if u = o || u = o' then true
+              else begin
+                match (dist u o, dist u o') with
+                | Ok (Some di), Ok (Some dj) -> di <> dj
+                | Ok None, Ok _ | Ok _, Ok None -> true
+                | Error `Budget_exhausted, _ | _, Error `Budget_exhausted ->
+                    (* Conservative: equidistant, forbid the merge. *)
+                    false
+              end)
+            members
+        end
+  end
+
+(** R3 for the union of two groups that each satisfy it: the pairs
+    inside one group passed when that group was merged, so only the
+    |a|·|b| pairs across the two remain to check. *)
+let check_r3_across cache ctx a b =
   List.for_all
     (fun (cfc : Analysis.Cfc.t) ->
-      let scc = Context.sccs_of ctx cfc.loop_id in
-      let in_cfc = List.filter (fun o -> Analysis.Cfc.mem cfc o) ops in
-      (* Every pair of group members in the same SCC must be
-         distance-distinguishable from every other SCC member. *)
-      let pair_ok o o' =
-        if not (Analysis.Scc.same_component scc o o') then true
-        else begin
-          match Analysis.Scc.component_of scc o with
-          | None -> true
-          | Some cid ->
-              let members = Analysis.Scc.members scc cid in
-              if List.length members > max_r3_scc_members then false
-              else begin
-                let scope = Hashtbl.create 17 in
-                List.iter (fun u -> Hashtbl.replace scope u ()) members;
-                let succ = Context.succ_in ctx.Context.graph (Hashtbl.mem scope) in
-                let dist u target =
-                  let key = (cfc.loop_id, cid, u, target) in
-                  match Hashtbl.find_opt cache key with
-                  | Some r -> r
-                  | None ->
-                      let r =
-                        Analysis.Distances.max_distance ~succ
-                          ~in_scope:(Hashtbl.mem scope) ~budget:20_000 u target
-                      in
-                      Hashtbl.replace cache key r;
-                      r
-                in
-                List.for_all
-                  (fun u ->
-                    if u = o || u = o' then true
-                    else begin
-                      match (dist u o, dist u o') with
-                      | Ok (Some di), Ok (Some dj) -> di <> dj
-                      | Ok None, Ok _ | Ok _, Ok None -> true
-                      | Error `Budget_exhausted, _ | _, Error `Budget_exhausted
-                        ->
-                          (* Conservative: equidistant, forbid the merge. *)
-                          false
-                    end)
-                  members
-              end
-        end
-      in
-      let rec pairs = function
-        | [] -> true
-        | o :: rest -> List.for_all (pair_ok o) rest && pairs rest
-      in
-      pairs in_cfc)
+      let b = List.filter (Analysis.Cfc.mem cfc) b in
+      List.for_all
+        (fun o ->
+          (not (Analysis.Cfc.mem cfc o))
+          || List.for_all (r3_pair_ok cache ctx cfc o) b)
+        a)
     ctx.Context.critical
 
-(** One grouping step: try to merge any two groups; [true] if merged. *)
-let try_merge ?(enforce_r3 = true) ?cache ctx groups =
+let check_r3 ctx ops =
+  let cache = r3_cache () in
+  let rec go = function
+    | [] -> true
+    | o :: rest -> check_r3_across cache ctx [ o ] rest && go rest
+  in
+  go ops
+
+(** One grouping step: merge the first profitable, rule-satisfying pair
+    of groups; [None] when no merge is possible.  Every group [infer]
+    holds was built from singletons by merges that passed R3, so R3 of
+    a merge is exactly R3 of the pairs across its two groups. *)
+let try_merge ~enforce_r3 cache ctx groups =
   let arr = Array.of_list groups in
   let n = Array.length arr in
   let result = ref None in
   (try
      for i = 0 to n - 1 do
        for j = i + 1 to n - 1 do
-         let merged = arr.(i).ops @ arr.(j).ops in
+         let a = arr.(i).ops and b = arr.(j).ops in
+         let merged = a @ b in
          if
            check_r1 ctx merged && check_r2 ctx merged
-           && ((not enforce_r3) || check_r3 ?cache ctx merged)
+           && ((not enforce_r3) || check_r3_across cache ctx a b)
          then begin
            let op = Option.get (Context.opcode_of ctx (List.hd merged)) in
            let credit =
              List.fold_left (fun m o -> max m (Context.credits_for ctx o)) 1 merged
            in
            if
-             Cost.merge_profitable ~op ~credit ~a:(List.length arr.(i).ops)
-               ~b:(List.length arr.(j).ops)
+             Cost.merge_profitable ~op ~credit ~a:(List.length a)
+               ~b:(List.length b)
            then begin
              let rest =
                Array.to_list arr
@@ -148,13 +162,13 @@ let try_merge ?(enforce_r3 = true) ?cache ctx groups =
 
 (** Algorithm 1: greedy merging until no change can be made.
     [enforce_r3] exists for the ablation study of rule R3 only. *)
-let infer ?shareable ?enforce_r3 ctx =
+let infer ?shareable ?(enforce_r3 = true) ctx =
   let candidates = Context.candidates ?shareable ctx in
   let cache = r3_cache () in
   let groups = ref (List.map (fun o -> { ops = [ o ] }) candidates) in
   let continue_ = ref true in
   while !continue_ do
-    match try_merge ?enforce_r3 ~cache ctx !groups with
+    match try_merge ~enforce_r3 cache ctx !groups with
     | Some gs -> groups := gs
     | None -> continue_ := false
   done;

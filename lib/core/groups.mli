@@ -12,32 +12,18 @@ val check_r1 : Context.t -> int list -> bool
     members stays within the unit capacity (its pipeline depth). *)
 val check_r2 : Context.t -> int list -> bool
 
-(** Memo for R3's max-distance probes, reusable across every merge
-    attempt of one inference run (the SCC structure is fixed for the
-    lifetime of the context). *)
-type r3_cache
-
-val r3_cache : unit -> r3_cache
-
 (** R3: two members in one SCC of a critical CFC must have distinct
     maximum distances from every other SCC member (paper Figure 5).
     SCCs larger than 48 members are refused outright — the enumeration
     budget would exhaust on every probe, which is the same conservative
-    no-merge verdict at a fraction of the cost.  [cache] memoizes the
-    distance probes; without it one is allocated per call. *)
-val check_r3 : ?cache:r3_cache -> Context.t -> int list -> bool
+    no-merge verdict at a fraction of the cost.  {!infer} checks only
+    the |A|·|B| pairs across the two groups of each merge; this checks
+    every pair of [ops]. *)
+val check_r3 : Context.t -> int list -> bool
 
-(** One greedy step: merge the first profitable, rule-satisfying pair of
-    groups; [None] when no merge is possible.  [enforce_r3] (default
-    true) exists for the ablation study. *)
-val try_merge :
-  ?enforce_r3:bool ->
-  ?cache:r3_cache ->
-  Context.t ->
-  group list ->
-  group list option
-
-(** Algorithm 1: merge until no change can be made. *)
+(** Algorithm 1: merge the first profitable, rule-satisfying pair of
+    groups until no merge is possible.  [enforce_r3] (default true)
+    exists for the ablation study. *)
 val infer :
   ?shareable:Dataflow.Types.opcode list ->
   ?enforce_r3:bool ->

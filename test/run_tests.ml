@@ -15,6 +15,7 @@ let () =
       ("analysis", Test_analysis.suite);
       ("cycle_ratio", Test_cycle_ratio.suite);
       ("crush", Test_crush.suite);
+      ("groups", Test_groups.suite);
       ("kernels", Test_kernels.suite);
       ("extensions", Test_extensions.suite);
       ("properties", Test_properties.suite);

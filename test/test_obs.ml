@@ -286,12 +286,18 @@ let test_cli_exit_codes () =
   checki "unknown command exits 2" 2 (code "definitely-not-a-command");
   checki "unknown flag exits 2" 2 (code "stats --no-such-flag");
   checki "missing positional exits 2" 2 (code "profile");
-  checki "uncaught exception exits 125" 125 (code "profile no-such-kernel")
+  checki "unknown kernel exits 2" 2 (code "profile no-such-kernel");
+  checki "unknown --kernel exits 2" 2 (code "chaos --kernel no-such-kernel");
+  checki "uncaught exception exits 125" 125
+    (code "compile atax --dot /nonexistent-dir/atax.dot")
 
 let test_cli_usage_line () =
-  let _, stderr = run_cli "definitely-not-a-command" in
-  checkb "usage line on stderr"
-    (contains stderr "usage: crush COMMAND")
+  List.iter
+    (fun args ->
+      let _, stderr = run_cli args in
+      checkb ("usage line on stderr: " ^ args)
+        (contains stderr "usage: crush COMMAND"))
+    [ "definitely-not-a-command"; "run no-such-kernel" ]
 
 let suite =
   [
