@@ -1,21 +1,30 @@
 (** Maximum cycle ratio of a timed event graph — the initiation interval
     of a choice-free circuit is the maximum over its directed cycles of
     latency / tokens (paper Section 2.1; the analytic counterpart of the
-    MILP throughput model).  Computed by parametric search with
-    Bellman–Ford positive-cycle detection.
+    MILP throughput model).  Computed by ratio iteration with
+    Bellman–Ford positive-cycle detection, then reported through a fixed
+    parametric bisection.
 
     Representation: each call packs its [m] edges once into parallel
     arrays indexed by list position ([src], [dst], [latency], [tokens],
-    endpoints renumbered [0 .. n-1]) plus one weight and one distance
-    array that every Bellman–Ford run reuses.  Nothing is retained
-    between calls.
+    endpoints renumbered [0 .. n-1]) plus one weight, one distance and
+    one parent array that every Bellman–Ford run reuses.  Nothing is
+    retained between calls.
 
     Cost, for [n] distinct endpoints: packing and the cycle test are
-    O(n + m); each bisection step is one Bellman–Ford run of at most
-    [n + 1] rounds over the edges, O(n·m); the bisection takes
-    log2((sum of latencies + 2) / eps) steps.  The arithmetic (bounds,
-    midpoints, list-order relaxation, the 1e-9 tolerance and the round
-    cap) is fixed, so results are bit-reproducible. *)
+    O(n + m).  Each Bellman–Ford run is at most [n + 1] rounds over the
+    edges, O(n·m), but stops at the first round (of 1, 2, 4, 8, ...)
+    whose parent graph closes a cycle with a higher ratio, so runs that
+    find a cycle are short.  A call makes one run to rule out a
+    token-free cycle, one per ratio-iteration step (each moves to a
+    strictly higher cycle ratio) and one final run that finds nothing;
+    on the circuits of the [optimize] benchmark that averages four runs
+    and two steps.  The log2((sum of latencies + 2) / eps) bisection
+    steps then cost O(1) each: they test the critical cycle's weight
+    instead of running Bellman–Ford.  The arithmetic (bounds, midpoints,
+    eps = 1e-4) is fixed, and with integer latencies and tokens the
+    critical cycle decides every midpoint exactly as a Bellman–Ford run
+    would, so results are bit-reproducible. *)
 
 type result =
   | Ratio of float  (** the maximum cycle ratio (the achievable II) *)
@@ -26,7 +35,7 @@ type result =
     check, O(n + m). *)
 val has_cycle : Timed_graph.edge list -> bool
 
-(** Maximum cycle ratio within absolute precision [eps] (default 1e-4). *)
-val compute : ?eps:float -> Timed_graph.edge list -> result
+(** Maximum cycle ratio within absolute precision 1e-4. *)
+val compute : Timed_graph.edge list -> result
 
 val pp : result Fmt.t

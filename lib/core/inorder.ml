@@ -10,7 +10,7 @@
       the whole unit latency into the dependency cycle (Figure 2: II 4
       instead of 2), so fewer groups are legal — the optimizer must
       re-evaluate the circuit's performance model for every candidate
-      merge, which is its optimization-time cost vs CRUSH (~5x on the
+      merge, which is its optimization-time cost vs CRUSH (~2x on the
       kernels);
     - opportunity: operations under divergent control flow cannot be
       ordered by BB sequence at all (absent tokens would stall the

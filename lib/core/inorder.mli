@@ -3,7 +3,7 @@
     basic-block order — strict per-iteration rotation within a loop,
     program order across nests — and every candidate merge is vetted by
     re-running the performance model with the rotation ring added, which
-    is the source of its optimization-time cost against CRUSH (~5x on
+    is the source of its optimization-time cost against CRUSH (~2x on
     the kernels). *)
 
 type report = {

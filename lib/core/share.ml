@@ -7,9 +7,9 @@
     only scalable graph analyses — no per-candidate re-evaluation of the
     performance model — which is where the paper's ~90% optimization-time
     reduction over the In-order baseline comes from.  How large that gap
-    is depends on the cost of one evaluation: with the packed-array
-    cycle-ratio solver, In-order pays ~5x CRUSH's time on the kernels
-    (81% reduction; EXPERIMENTS.md). *)
+    is depends on the cost of one evaluation: with the ratio-iteration
+    cycle-ratio solver, In-order pays ~2x CRUSH's time on the kernels
+    (50% reduction; EXPERIMENTS.md). *)
 
 open Dataflow
 

@@ -3,9 +3,12 @@
     against the packed-array solver in [Analysis.Cycle_ratio].  The
     contract is bit-identity: every [Ratio] float must have the same
     IEEE bits and every [Acyclic]/[Unbounded] verdict must agree, on
-    random timed graphs, on every CFC of every kernel under both codegen
-    strategies, on unrolled gesummv, and on every rotation-ring graph the
-    In-order baseline evaluates. *)
+    small random timed graphs, on larger random rings with chords (long
+    parent cycles, several ratio-iteration steps), on a graph whose
+    first-found cycle is not the critical one, on every CFC of every
+    kernel under both codegen strategies, on unrolled gesummv up to
+    Table 1's x75, and on every rotation-ring graph the In-order baseline
+    evaluates. *)
 
 open Helpers
 
@@ -62,13 +65,13 @@ let gen_part =
       (quad (int_bound (n - 1)) (int_bound (n - 1)) (int_range 0 9)
          (frequencyl [ (3, 0); (2, 1); (1, 2) ])))
 
+let shift off = List.map (fun (s, d, l, t) -> edge (s + off) (d + off) l t)
+
 (* One or two disconnected parts; the second is renumbered from 100. *)
 let gen_timed_graph =
   QCheck2.Gen.(
     map2
-      (fun a b ->
-        let shift off = List.map (fun (s, d, l, t) -> edge (s + off) (d + off) l t) in
-        shift 0 a @ shift 100 b)
+      (fun a b -> shift 0 a @ shift 100 b)
       gen_part
       (frequency [ (2, return []); (1, gen_part) ]))
 
@@ -76,6 +79,56 @@ let prop_random_graphs =
   qtest ~count:500 "random timed graphs: packed = oracle"
     ~print:(Fmt.str "%a" pp_edges) gen_timed_graph (fun edges ->
       mismatch edges = None)
+
+(* A ring of 2-300 nodes carrying at least one token, plus forward
+   chords (mostly token-free) and backward chords (1-3 tokens), in
+   shuffled list order; sometimes a small part from [gen_part] beside it,
+   which may add a token-free cycle.  Parent cycles get long and the
+   critical cycle is rarely the first one found. *)
+let gen_ring_graph =
+  QCheck2.Gen.(
+    let* n = int_range 2 300 in
+    let* marked = int_bound (n - 1) in
+    let* ring =
+      flatten_l
+        (List.init n (fun i ->
+             let+ lat = int_range 0 9
+             and+ tok =
+               if i = marked then int_range 1 2 else frequencyl [ (4, 0); (1, 1) ]
+             in
+             edge i ((i + 1) mod n) lat tok))
+    in
+    let chord =
+      let* a = int_bound (n - 1) and* b = int_bound (n - 1) in
+      let* lat = int_range 0 9 in
+      if a < b then map (edge a b lat) (frequencyl [ (5, 0); (1, 1) ])
+      else map (edge a b lat) (int_range 1 3)
+    in
+    let* chords = list_size (int_bound n) chord in
+    let* extra = frequency [ (3, return []); (1, map (shift 1000) gen_part) ] in
+    shuffle_l (ring @ chords @ extra))
+
+let prop_ring_graphs =
+  qtest ~count:200 "random rings with chords: packed = oracle"
+    ~print:(Fmt.str "%a" pp_edges) gen_ring_graph (fun edges ->
+      mismatch edges = None)
+
+(* The first cycle found at ratio 0 is not the critical one.  The
+   self-loop on node 0 (ratio 1) closes in Bellman–Ford's first round.
+   The ring 10 -> 11 -> ... -> 19 -> 10 (latency 30, 10 tokens: ratio 3)
+   carries its latency on one edge and lists its zero-latency edges
+   against the direction of travel, so it takes ten rounds to close.  The
+   search therefore steps 0 -> 1 -> 3. *)
+let test_two_step_iteration () =
+  let ring =
+    List.init 9 (fun k -> edge (18 - k) (19 - k) 0 1) @ [ edge 19 10 30 1 ]
+  in
+  let edges = (edge 0 0 1 1 :: ring) @ [ edge 0 10 0 0 ] in
+  check_same "self-loop then ring" edges;
+  match Analysis.Cycle_ratio.compute edges with
+  | Analysis.Cycle_ratio.Ratio r ->
+      Alcotest.(check bool) "ratio 3 within eps" true (Float.abs (r -. 3.0) <= 1e-4)
+  | r -> Alcotest.failf "expected ratio 3, got %a" Analysis.Cycle_ratio.pp r
 
 (* ------------------------------------------------------------------ *)
 (* Circuits *)
@@ -111,6 +164,11 @@ let test_gesummv_cfcs () =
       let _, ast = Kernels.Registry.gesummv_unrolled ~n:75 ~factor in
       check_circuit (Fmt.str "gesummv x%d" factor) (Minic.Codegen.compile ast))
     [ 3; 5; 15; 25 ]
+
+(* Table 1's circuit: the whole graph has 2,159 edges. *)
+let test_gesummv_x75 () =
+  let _, ast = Kernels.Registry.gesummv_unrolled ~n:75 ~factor:75 in
+  check_circuit "gesummv x75" (Minic.Codegen.compile ast)
 
 (* Replays In-order's greedy search step for step (candidate order, rule
    checks, first profitable merge wins) and checks every rotation-ring
@@ -180,7 +238,11 @@ let test_inorder_rings () =
 let suite =
   [
     prop_random_graphs;
+    prop_ring_graphs;
+    Alcotest.test_case "oracle: first cycle found is not critical" `Quick
+      test_two_step_iteration;
     Alcotest.test_case "oracle: kernel CFCs, both strategies" `Quick test_kernel_cfcs;
     Alcotest.test_case "oracle: gesummv x3-x25 CFCs" `Slow test_gesummv_cfcs;
+    Alcotest.test_case "oracle: Table 1 gesummv x75" `Slow test_gesummv_x75;
     Alcotest.test_case "oracle: In-order rotation rings" `Slow test_inorder_rings;
   ]
