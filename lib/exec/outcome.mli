@@ -10,7 +10,7 @@
 type 'a t =
   | Ok of 'a
   | Frontend_error of {
-      phase : string;              (** "lex" | "parse" | "sema" *)
+      phase : string;              (** "lex" | "parse" | "sema" | "codegen" *)
       loc : (int * int) option;    (** 1-based line, column *)
       token : string option;
       message : string;

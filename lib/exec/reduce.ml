@@ -394,6 +394,8 @@ let kind_to_json k =
 let kind_of_json j =
   let ( let* ) = Option.bind in
   let int name = Option.bind (Jsonl.member name j) Jsonl.to_int in
+  (* port counts and buffer slots size arrays: never negative *)
+  let count name = Option.bind (int name) (fun n -> if n >= 0 then Some n else None) in
   let bool name = Option.bind (Jsonl.member name j) Jsonl.to_bool in
   let str name = Option.bind (Jsonl.member name j) Jsonl.to_str in
   let value name = Option.bind (Jsonl.member name j) Outcome.value_of_json in
@@ -407,30 +409,30 @@ let kind_of_json j =
       let* v = value "v" in
       Some (Types.Const v)
   | "fork" ->
-      let* outputs = int "outputs" in
+      let* outputs = count "outputs" in
       let* lazy_ = bool "lazy" in
       Some (Types.Fork { outputs; lazy_ })
   | "join" ->
-      let* inputs = int "inputs" in
+      let* inputs = count "inputs" in
       let* ks = Option.bind (Jsonl.member "keep" j) Jsonl.to_list in
       let bs = List.filter_map Jsonl.to_bool ks in
       if List.length bs <> List.length ks then None
       else Some (Types.Join { inputs; keep = Array.of_list bs })
   | "merge" ->
-      let* inputs = int "inputs" in
+      let* inputs = count "inputs" in
       Some (Types.Merge { inputs })
   | "arbiter" ->
-      let* inputs = int "inputs" in
+      let* inputs = count "inputs" in
       let* policy = Option.bind (Jsonl.member "policy" j) policy_of_json in
       Some (Types.Arbiter { inputs; policy })
   | "mux" ->
-      let* inputs = int "inputs" in
+      let* inputs = count "inputs" in
       Some (Types.Mux { inputs })
   | "branch" ->
-      let* outputs = int "outputs" in
+      let* outputs = count "outputs" in
       Some (Types.Branch { outputs })
   | "buffer" ->
-      let* slots = int "slots" in
+      let* slots = count "slots" in
       let* transparent = bool "transparent" in
       let* narrow = bool "narrow" in
       let* is = Option.bind (Jsonl.member "init" j) Jsonl.to_list in
@@ -440,7 +442,7 @@ let kind_of_json j =
   | "op" ->
       let* op = Option.bind (str "op") opcode_of_string in
       let* latency = int "latency" in
-      let* ports = int "ports" in
+      let* ports = count "ports" in
       Some (Types.Operator { op; latency; ports })
   | "load" ->
       let* memory = str "memory" in
@@ -517,10 +519,12 @@ let graph_of_json j =
     let* loop = Option.bind (Jsonl.member "loop" u) Jsonl.to_int in
     let* lh = Option.bind (Jsonl.member "loop_header" u) Jsonl.to_bool in
     let* pin = Option.bind (Jsonl.member "pinned" u) Jsonl.to_bool in
-    let uid = Graph.add_unit ~label ~bb ~loop g kind in
-    if lh then Graph.mark_loop_header g uid;
-    if pin then Graph.pin g uid;
-    Some ()
+    match Graph.add_unit ~label ~bb ~loop g kind with
+    | uid ->
+        if lh then Graph.mark_loop_header g uid;
+        if pin then Graph.pin g uid;
+        Some ()
+    | exception Invalid_argument _ -> None (* a port count too large to allocate *)
   in
   let endpoint e =
     match int_list_of_json e with Some [ u; p ] -> Some (u, p) | _ -> None
@@ -535,8 +539,11 @@ let graph_of_json j =
   let memory_ok m =
     let* name = Option.bind (Jsonl.member "name" m) Jsonl.to_str in
     let* size = Option.bind (Jsonl.member "size" m) Jsonl.to_int in
-    Graph.declare_memory g name size;
-    Some ()
+    if size < 0 then None
+    else begin
+      Graph.declare_memory g name size;
+      Some ()
+    end
   in
   let all f xs = List.for_all (fun x -> f x <> None) xs in
   if all unit_ok units && all channel_ok channels && all memory_ok memories

@@ -39,9 +39,7 @@ type compiled = {
           baseline cannot order operations across them *)
 }
 
-exception Error of string
-
-let error fmt = Fmt.kstr (fun s -> raise (Error s)) fmt
+let error fmt = Frontend.error Frontend.Codegen fmt
 
 type ctx = {
   b : Builder.t;
@@ -63,14 +61,14 @@ let ctrl_name = "$ctrl"
 let lookup venv x =
   match List.assoc_opt x venv with
   | Some w -> w
-  | None -> error "codegen: unbound variable %s" x
+  | None -> error "unbound variable %s" x
 
 let update venv x w =
-  if not (List.mem_assoc x venv) then error "codegen: assignment to unbound %s" x
+  if not (List.mem_assoc x venv) then error "assignment to unbound %s" x
   else List.map (fun (y, v) -> if y = x then (y, w) else (y, v)) venv
 
 let bind venv x w =
-  if List.mem_assoc x venv then error "codegen: rebinding %s" x
+  if List.mem_assoc x venv then error "rebinding %s" x
   else venv @ [ (x, w) ]
 
 let op_of ~float_ = function
@@ -134,7 +132,7 @@ and gen_address ctx venv a idxs =
         let w = gen_expr ctx venv e in
         let scaled = mk_op ctx Imul [ w; mk_const ctx ~ctrl (VInt inner_size) ] in
         mk_op ctx Iadd [ scaled; flatten rest es ]
-    | _ -> error "codegen: dimension mismatch on %s" a
+    | _ -> error "dimension mismatch on %s" a
   in
   flatten info.Sema.a_dims idxs
 

@@ -19,15 +19,13 @@ type compiled = {
           baseline cannot order operations across them *)
 }
 
-exception Error of string
-
 (** Pipeline depth of load units (BRAM with registered output). *)
 val load_latency : int
 
 (** Compile a checked kernel AST.  Runs buffer rightsizing after
     generation (the MILP-sizing role of [34]).
-    @raise Error on scalar parameters or codegen-level inconsistencies.
-    @raise Frontend.Error on ill-typed kernels (phase [Sema]). *)
+    @raise Frontend.Error on ill-typed kernels (phase [Sema]), and on
+    scalar parameters or codegen-level inconsistencies (phase [Codegen]). *)
 val compile : ?strategy:strategy -> Ast.kernel -> compiled
 
 (** Parse, check and compile kernel source text. *)

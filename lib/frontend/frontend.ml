@@ -1,30 +1,34 @@
 (** The one error surface of the mini-C frontend.
 
-    The lexer, the parser and the semantic analysis all fail through the
-    single located {!Error} exception below, so every frontend failure
-    carries the same payload: which phase refused the input, where
-    (1-based line/column when the phase still has source positions), and
-    the offending token when there is one.  Downstream supervision
+    The lexer, the parser, the semantic analysis and code generation all
+    fail through the single located {!Error} exception below, so every
+    frontend failure carries the same payload: which phase refused the
+    input, where (1-based line/column when the phase still has source
+    positions), and the offending token when there is one.  Downstream supervision
     ({!Exec.Outcome}) maps the exception into the campaign failure
     taxonomy without string-matching, and interactive error messages
     become actionable ("2:14: parse error at token '5': expected ;"
     instead of a bare message). *)
 
-type phase = Lex | Parse | Sema
+type phase = Lex | Parse | Sema | Codegen
 
 (** 1-based source position. *)
 type loc = { line : int; column : int }
 
 type error = {
   phase : phase;
-  loc : loc option;      (** [None] when the phase lost positions (sema) *)
+  loc : loc option;      (** [None] when the phase lost positions (sema, codegen) *)
   token : string option; (** the offending token, rendered *)
   message : string;
 }
 
 exception Error of error
 
-let phase_name = function Lex -> "lex" | Parse -> "parse" | Sema -> "sema"
+let phase_name = function
+  | Lex -> "lex"
+  | Parse -> "parse"
+  | Sema -> "sema"
+  | Codegen -> "codegen"
 
 let pp_error ppf e =
   (match e.loc with

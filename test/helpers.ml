@@ -81,7 +81,7 @@ let qcheck_seed =
      Printf.eprintf "qcheck random seed: %d\n%!" s;
      s)
 
-let qtest ?(count = 100) ?print name gen prop =
-  QCheck_alcotest.to_alcotest
+let qtest ?(count = 100) ?speed_level ?print name gen prop =
+  QCheck_alcotest.to_alcotest ?speed_level
     ~rand:(Random.State.make [| Lazy.force qcheck_seed |])
     (QCheck2.Test.make ~count ~name ?print gen prop)

@@ -1,22 +1,71 @@
 (* Frozen reference for Algorithm 1 (greedy sharing-group inference),
    kept verbatim as the differential-testing oracle for
-   [Crush.Groups.infer].  Its [try_merge] re-checks rule R3 on every
-   pair of the tentatively merged group; the library checks only the
-   pairs across the two groups being merged.  Do not optimize or
-   refactor this file: its value is that it is the exact implementation
-   the library must reproduce, group for group, in the same group order
-   and member order.  Apart from this header and the aliases below, it
-   is the unmodified [r3_cache], [max_r3_scc_members], [check_r3],
-   [try_merge] and [infer] of lib/core/groups.ml from before R3 became
-   incremental; rules R1 and R2 are the library's. *)
+   [Crush.Groups.infer].  Its [try_merge] re-checks rules R1, R2 and R3
+   on every pair of the tentatively merged group, walking member lists
+   and enumerating one simple-path tree per (member, target) pair; the
+   library carries per-group facts, memoizes refusals and enumerates one
+   tree per SCC member.  Do not optimize or refactor this file: its
+   value is that it is the exact implementation the library must
+   reproduce, group for group, in the same group order and member
+   order.  Apart from this header, it is the unmodified [check_r1],
+   [capacity], [check_r2], [r3_cache], [max_r3_scc_members],
+   [check_r3], [try_merge] and [infer] of lib/core/groups.ml from
+   before R3 became incremental, and the unmodified [max_distance] of
+   lib/analysis/distances.ml from before the per-source enumeration. *)
 
 module Context = Crush.Context
 module Cost = Crush.Cost
 
 type group = Crush.Groups.group = { ops : int list }
 
-let check_r1 = Crush.Groups.check_r1
-let check_r2 = Crush.Groups.check_r2
+let check_r1 ctx ops =
+  match ops with
+  | [] -> true
+  | o :: rest ->
+      let op0 = Context.opcode_of ctx o and l0 = Context.latency_of ctx o in
+      List.for_all
+        (fun o' -> Context.opcode_of ctx o' = op0 && Context.latency_of ctx o' = l0)
+        rest
+
+let capacity ctx ops =
+  match ops with [] -> 0 | o :: _ -> Context.latency_of ctx o
+
+let check_r2 ctx ops =
+  let cap = float_of_int (capacity ctx ops) in
+  List.for_all
+    (fun cfc ->
+      let sum =
+        List.fold_left (fun acc o -> acc +. Context.occupancy ctx cfc o) 0.0 ops
+      in
+      sum <= cap +. 1e-9)
+    ctx.Context.critical
+
+(** Length (in hops, counting intermediate units) of the longest simple
+    path from [src] to [dst] using only nodes for which [in_scope] holds.
+    Returns [None] when no path exists or the enumeration budget blows. *)
+let max_distance ~succ ~in_scope ~budget src dst =
+  let explored = ref 0 in
+  let best = ref None in
+  let exception Budget in
+  let rec go node len on_path =
+    incr explored;
+    if !explored > budget then raise Budget;
+    if node = dst && len > 0 then begin
+      let d = len - 1 in
+      match !best with
+      | Some b when b >= d -> ()
+      | _ -> best := Some d
+    end
+    else
+      List.iter
+        (fun m ->
+          if in_scope m && not (List.mem m on_path) && not (m = src && len > 0)
+          then go m (len + 1) (m :: on_path))
+        (succ node)
+  in
+  match go src 0 [ src ] with
+  | () -> Ok !best
+  | exception Budget -> Error `Budget_exhausted
 
 (** Memo for the R3 distance probes.  Greedy merging re-tests the same
     operation pairs every round, and each test walks max-distance
@@ -62,7 +111,7 @@ let check_r3 ?cache ctx ops =
                   | Some r -> r
                   | None ->
                       let r =
-                        Analysis.Distances.max_distance ~succ
+                        max_distance ~succ
                           ~in_scope:(Hashtbl.mem scope) ~budget:20_000 u target
                       in
                       Hashtbl.replace cache key r;

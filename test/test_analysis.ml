@@ -152,16 +152,18 @@ let test_occupancy () =
 let test_max_distance_ring () =
   (* ring 0 -> 1 -> 2 -> 0: the longest simple path 0..2 passes 1. *)
   let succ = adj [ (0, 1); (1, 2); (2, 0) ] 3 in
-  let in_scope _ = true in
-  match Analysis.Distances.max_distance ~succ ~in_scope ~budget:1000 0 2 with
+  let d = Analysis.Distances.create ~budget:1000 ~succ [ 0; 1; 2 ] in
+  match Analysis.Distances.max_distance d 0 2 with
   | Ok (Some d) -> checki "one intermediate hop" 1 d
   | _ -> Alcotest.fail "no distance"
 
 let test_distinct_distances () =
   (* diamond inside a ring: equidistant targets are detected. *)
   let succ = adj [ (0, 1); (0, 2); (1, 3); (2, 3); (3, 0) ] 4 in
+  let d = Analysis.Distances.create ~budget:20_000 ~succ [ 0; 1; 2; 3 ] in
+  let from_0 target = Analysis.Distances.max_distance d 0 target in
   checkb "1 and 2 equidistant from 0"
-    (not (Analysis.Distances.distinct_distances ~succ ~members:[ 0; 1; 2; 3 ] 1 2))
+    (from_0 1 = Ok (Some 0) && from_0 2 = Ok (Some 0))
 
 (* ------------------------------------------------------------------ *)
 (* Area / timing *)

@@ -333,7 +333,7 @@ let test_codegen_rejects_scalar_params () =
   try
     ignore (compile "void f(float x) { }");
     Alcotest.fail "accepted scalar parameter"
-  with Minic.Codegen.Error _ -> ()
+  with Frontend.Error e -> checkb "codegen phase" (e.Frontend.phase = Frontend.Codegen)
 
 let suite =
   [

@@ -214,6 +214,46 @@ let test_committed_repros () =
           | None -> Alcotest.failf "%s: trips nothing" slug))
     [ "overalloc"; "creditless"; "rotation" ]
 
+(* ------------------------------------------------------------------ *)
+(* Circuit decoder: total on sizes that cannot build a graph *)
+
+let test_decoder_rejects_bad_sizes () =
+  (* [circuit {|{"k":"fork","outputs":-1,"lazy":false}|}] is the input
+     that once raised [Invalid_argument "Array.make"]. *)
+  let circuit ?(memories = "[]") kind =
+    Fmt.str
+      {|{"units":[{"kind":%s,"label":"f","bb":0,"loop":0,"loop_header":false,"pinned":false}],"channels":[],"memories":%s}|}
+      kind memories
+  in
+  let decodes text =
+    match Exec.Jsonl.parse text with
+    | Error e -> Alcotest.failf "fixture does not parse: %s" e
+    | Ok j -> (
+        match Exec.Reduce.graph_of_json j with
+        | g -> Option.is_some g
+        | exception e ->
+            Alcotest.failf "graph_of_json raised %s on %s" (Printexc.to_string e)
+              text)
+  in
+  checkb "a well-formed fork decodes"
+    (decodes (circuit {|{"k":"fork","outputs":2,"lazy":false}|}));
+  List.iter
+    (fun kind -> checkb kind (not (decodes (circuit kind))))
+    [
+      {|{"k":"fork","outputs":-1,"lazy":false}|};
+      {|{"k":"join","inputs":-2,"keep":[]}|};
+      {|{"k":"merge","inputs":-1}|};
+      {|{"k":"mux","inputs":-3}|};
+      {|{"k":"branch","outputs":-1}|};
+      {|{"k":"buffer","slots":-1,"transparent":false,"narrow":false,"init":[]}|};
+      {|{"k":"op","op":"fadd","latency":4,"ports":-2}|};
+      {|{"k":"fork","outputs":4611686018427387903,"lazy":false}|};
+    ];
+  checkb "negative memory size"
+    (not
+       (decodes
+          (circuit ~memories:{|[{"name":"A","size":-4}]|} {|{"k":"sink"}|})))
+
 let suite =
   [
     ("engine: monitor hook is transparent", `Quick, test_monitor_hook);
@@ -243,4 +283,5 @@ let suite =
     ("reduce: deterministic", `Quick, test_reduce_deterministic);
     ("reduce: repro file round-trips", `Quick, test_repro_roundtrip);
     ("repros: committed files replay pinned", `Quick, test_committed_repros);
+    ("reduce: decoder rejects bad sizes", `Quick, test_decoder_rejects_bad_sizes);
   ]

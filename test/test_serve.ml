@@ -741,6 +741,20 @@ let test_daemon_end_to_end () =
       checki "drain workers" 0 d.Serve.Server.workers_alive;
       checkb "drain fds" true (d.Serve.Server.leaked_fds <= 0)
 
+(* A kernel the frontend accepts but code generation refuses is the
+   client's error, like a parse error: 400, not a 500 crash. *)
+let test_codegen_error_is_400 () =
+  let source =
+    "void k(float x, float A[4]) { for (int i = 0; i < 4; i++) { A[i] = \
+     A[i] + 1.0; } }"
+  in
+  match Minic.Codegen.compile_source source with
+  | _ -> Alcotest.fail "a scalar parameter compiled"
+  | exception e ->
+      let o = Outcome.of_exn e in
+      checks "class" "frontend" (Api.code_of_outcome o);
+      checki "status" 400 (Api.status_of_outcome o)
+
 let suite =
   [
     Alcotest.test_case "outcome->http table (exhaustive)" `Quick
@@ -772,4 +786,5 @@ let suite =
     Alcotest.test_case "workers: prompt release on loss" `Slow
       test_workers_prompt_release;
     Alcotest.test_case "daemon end-to-end" `Slow test_daemon_end_to_end;
+    Alcotest.test_case "codegen error is a 400" `Quick test_codegen_error_is_400;
   ]
