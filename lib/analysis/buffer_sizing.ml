@@ -26,40 +26,40 @@ let runahead_slots ~ii ~max_imbalance =
     shrink to the minimum).  Pinned buffers are left alone.  Returns the
     number of slots removed. *)
 let rightsize g =
-  (* Largest structural FIFO per loop: witness of the max imbalance. *)
-  let max_imbalance = Hashtbl.create 7 in
+  (* Largest structural FIFO per loop: witness of the max imbalance; and
+     the loops with a FIFO to shrink. *)
+  let max_imbalance = Hashtbl.create 7 and loops = ref [] in
+  let shrinkable (u : Graph.unit_node) slots =
+    slots > 2 && not (Graph.is_pinned g u.uid)
+  in
   Graph.iter_units g (fun u ->
       match u.Graph.kind with
       | Types.Buffer { slots; transparent = true; init = []; _ } ->
           let l = u.Graph.loop in
           let prev = Option.value (Hashtbl.find_opt max_imbalance l) ~default:0 in
-          Hashtbl.replace max_imbalance l (max prev (slots - 1))
+          Hashtbl.replace max_imbalance l (max prev (slots - 1));
+          if l >= 0 && shrinkable u slots then loops := l :: !loops
       | _ -> ());
-  let target_cache = Hashtbl.create 7 in
-  let target_of_loop l =
-    match Hashtbl.find_opt target_cache l with
-    | Some t -> t
-    | None ->
-        let t =
-          if l < 0 then Some 2
-          else begin
-            match Cfc.ii_value (Cfc.of_loop g l) with
-            | Some ii ->
-                let imb =
-                  Option.value (Hashtbl.find_opt max_imbalance l) ~default:0
-                in
-                Some (runahead_slots ~ii:(Float.max 1.0 ii) ~max_imbalance:imb)
-            | None -> None (* unbounded II: leave buffers alone *)
-          end
-        in
-        Hashtbl.replace target_cache l t;
-        t
-  in
+  (* One analysis pass over those loops; unbounded II leaves their
+     buffers alone. *)
+  let targets = Hashtbl.create 7 in
+  List.iter
+    (fun (cfc : Cfc.t) ->
+      Hashtbl.replace targets cfc.loop_id
+        (Option.map
+           (fun ii ->
+             let imb =
+               Option.value (Hashtbl.find_opt max_imbalance cfc.loop_id) ~default:0
+             in
+             runahead_slots ~ii:(Float.max 1.0 ii) ~max_imbalance:imb)
+           (Cfc.ii_value cfc)))
+    (Cfc.of_loops g (List.sort_uniq compare !loops));
+  let target_of_loop l = if l < 0 then Some 2 else Hashtbl.find targets l in
   let removed = ref 0 in
   Graph.iter_units g (fun u ->
       match u.Graph.kind with
       | Types.Buffer { slots; transparent = true; init = []; narrow }
-        when slots > 2 && not (Graph.is_pinned g u.Graph.uid) -> (
+        when shrinkable u slots -> (
           match target_of_loop u.Graph.loop with
           | Some target when target < slots ->
               removed := !removed + (slots - target);

@@ -8,26 +8,30 @@
 
 type t = {
   loop_id : int;
-  units : int list;
-  scope : (int, unit) Hashtbl.t;  (** membership table of [units]; see {!mem} *)
+  units : int list;  (** unit ids, highest first *)
+  edges : Timed_graph.edge list;
+      (** timed edges between its units, in reverse channel order *)
+  tags : int array;
+      (** loop tag per unit id when the CFC was built, shared by the
+          CFCs of one pass; see {!mem} *)
   ii : Cycle_ratio.result;  (** token/latency bound over cycles *)
   mem_ii : int;             (** memory-port bound: accesses per port *)
 }
 
-val units_of_loop : Dataflow.Graph.t -> int -> int list
-
-(** Loop ids present in the circuit's unit tags, sorted. *)
-val loop_ids : Dataflow.Graph.t -> int list
+(** The CFCs of the given loops, in the given order, from one pass over
+    the circuit's units and channels. *)
+val of_loops : Dataflow.Graph.t -> int list -> t list
 
 val of_loop : Dataflow.Graph.t -> int -> t
 
-(** All CFCs, one per loop id present. *)
+(** All CFCs, one per loop id present, in one pass. *)
 val all : Dataflow.Graph.t -> t list
 
 (** The performance-critical CFCs (one per loop in [critical_loops]). *)
 val critical : Dataflow.Graph.t -> critical_loops:int list -> t list
 
-(** Is the unit in the CFC?  A hash lookup. *)
+(** Was the unit in the CFC's loop when the CFC was built?  Units added
+    later are not.  An array lookup. *)
 val mem : t -> int -> bool
 
 (** Achievable II: the larger of the cycle-ratio and memory-port bounds;

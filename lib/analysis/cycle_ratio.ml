@@ -14,6 +14,9 @@
     bisection over [0, hi0], with the critical cycle's weight as the test
     at each midpoint.
 
+    A token-free cycle with positive latency makes the ratio unbounded;
+    one SCC pass over the token-free edges finds it.
+
     The edge list is packed once per call into parallel arrays indexed by
     edge position, with endpoints renumbered densely; every Bellman–Ford
     run then reuses one weight, distance and parent array. *)
@@ -40,14 +43,24 @@ type packed = {
 
 let pack (edges : Timed_graph.edge list) =
   let m = List.length edges in
-  let index = Hashtbl.create 16 in
+  let bound =
+    List.fold_left
+      (fun b (e : Timed_graph.edge) ->
+        if e.src < 0 || e.dst < 0 then invalid_arg "Cycle_ratio: negative node id";
+        max b (1 + max e.src e.dst))
+      0 edges
+  in
+  (* Endpoints numbered in order of first appearance. *)
+  let index = Array.make bound (-1) and nodes = ref 0 in
   let node id =
-    match Hashtbl.find_opt index id with
-    | Some i -> i
-    | None ->
-        let i = Hashtbl.length index in
-        Hashtbl.add index id i;
-        i
+    let i = index.(id) in
+    if i >= 0 then i
+    else begin
+      let i = !nodes in
+      index.(id) <- i;
+      incr nodes;
+      i
+    end
   in
   let src = Array.make m 0 and dst = Array.make m 0 in
   let latency = Array.make m 0 and tokens = Array.make m 0 in
@@ -58,7 +71,7 @@ let pack (edges : Timed_graph.edge list) =
       latency.(i) <- e.latency;
       tokens.(i) <- e.tokens)
     edges;
-  let nodes = Hashtbl.length index in
+  let nodes = !nodes in
   {
     nodes;
     src;
@@ -70,6 +83,28 @@ let pack (edges : Timed_graph.edge list) =
     parent = Array.make nodes (-1);
     mark = Array.make nodes (-1);
   }
+
+(* Successor arrays of the edges [i] with [keep i]: the heads of node
+   [u]'s kept edges are [adj.(first.(u)) .. adj.(first.(u+1) - 1)], in
+   edge order. *)
+let successors p keep =
+  let n = p.nodes and m = Array.length p.src in
+  let first = Array.make (n + 1) 0 in
+  for i = 0 to m - 1 do
+    if keep i then first.(p.src.(i) + 1) <- first.(p.src.(i) + 1) + 1
+  done;
+  for u = 1 to n do
+    first.(u) <- first.(u) + first.(u - 1)
+  done;
+  let adj = Array.make first.(n) 0 and fill = Array.sub first 0 n in
+  for i = 0 to m - 1 do
+    if keep i then begin
+      let u = p.src.(i) in
+      adj.(fill.(u)) <- p.dst.(i);
+      fill.(u) <- fill.(u) + 1
+    end
+  done;
+  (first, adj)
 
 (* Does ratio [l / t] exceed [l' / t']?  Token counts are never negative,
    so cross-multiplying is exact, and a token-free cycle with positive
@@ -152,21 +187,11 @@ let better_cycle p (l, t) =
    without incoming edges removes them all. *)
 let packed_has_cycle p =
   let n = p.nodes and m = Array.length p.src in
-  let indeg = Array.make n 0 and first = Array.make (n + 1) 0 in
+  let indeg = Array.make n 0 in
   for i = 0 to m - 1 do
-    indeg.(p.dst.(i)) <- indeg.(p.dst.(i)) + 1;
-    first.(p.src.(i) + 1) <- first.(p.src.(i) + 1) + 1
+    indeg.(p.dst.(i)) <- indeg.(p.dst.(i)) + 1
   done;
-  for u = 1 to n do
-    first.(u) <- first.(u) + first.(u - 1)
-  done;
-  (* [succ.(first.(u) .. first.(u+1)-1)] are the heads of u's edges. *)
-  let succ = Array.make m 0 and fill = Array.sub first 0 n in
-  for i = 0 to m - 1 do
-    let u = p.src.(i) in
-    succ.(fill.(u)) <- p.dst.(i);
-    fill.(u) <- fill.(u) + 1
-  done;
+  let first, succ = successors p (fun _ -> true) in
   let queue = Array.make n 0 and tail = ref 0 in
   for u = 0 to n - 1 do
     if indeg.(u) = 0 then begin
@@ -189,6 +214,26 @@ let packed_has_cycle p =
   done;
   !tail < n
 
+(* Does a token-free cycle carry positive latency?  Only such a cycle
+   beats ratio [max_lat + 1]: one with tokens has less latency than
+   [max_lat] in all.  With no negative latency on a token-free edge, it
+   exists iff a token-free edge of positive latency joins two nodes of
+   one SCC of the token-free edges; otherwise a negative latency may
+   cancel the positive ones, and Bellman–Ford at that ratio decides. *)
+let token_free_cycle p ~max_lat =
+  let m = Array.length p.src in
+  let free i = p.tokens.(i) = 0 in
+  let rec exists f i = i < m && (f i || exists f (i + 1)) in
+  if exists (fun i -> free i && p.latency.(i) < 0) 0 then
+    Option.is_some (better_cycle p (max_lat + 1, 1))
+  else begin
+    let first, adj = successors p free in
+    let comp = Scc.components ~n:p.nodes ~first ~adj in
+    exists
+      (fun i -> free i && p.latency.(i) > 0 && comp.(p.src.(i)) = comp.(p.dst.(i)))
+      0
+  end
+
 let has_cycle edges = packed_has_cycle (pack edges)
 
 (** Maximum cycle ratio of [edges], within absolute precision [eps]. *)
@@ -198,9 +243,7 @@ let compute (edges : Timed_graph.edge list) =
   else begin
     let max_lat = Array.fold_left (fun m l -> m + max 0 l) 1 p.latency in
     let hi0 = float_of_int max_lat +. 1.0 in
-    (* A cycle beating ratio [hi0] needs more latency than the graph has,
-       unless it carries no tokens. *)
-    if Option.is_some (better_cycle p (max_lat + 1, 1)) then Unbounded
+    if token_free_cycle p ~max_lat then Unbounded
     else begin
       let rec critical c =
         match better_cycle p c with None -> c | Some c' -> critical c'

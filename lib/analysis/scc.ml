@@ -5,91 +5,121 @@
     topological order of the SCC graph (Sections 5.2 and 5.3). *)
 
 type t = {
-  component : (int, int) Hashtbl.t;  (** node -> component id *)
-  members : int list array;          (** component id -> nodes *)
+  component : int array;  (** node -> component id; -1 outside [nodes] *)
+  members : int list array;  (** component id -> nodes *)
 }
 
-(** [compute ~nodes ~succ] returns the SCCs of the directed graph induced
-    by [nodes]; [succ n] lists the successors of [n] (successors outside
-    [nodes] are ignored).  Component ids are in reverse topological order
-    of the condensation (id 0 has no predecessors among later ids). *)
-let compute ~nodes ~succ =
-  let in_scope = Hashtbl.create 97 in
-  List.iter (fun n -> Hashtbl.replace in_scope n ()) nodes;
-  let index = Hashtbl.create 97 in
-  let lowlink = Hashtbl.create 97 in
-  let on_stack = Hashtbl.create 97 in
-  let stack = ref [] in
-  let next_index = ref 0 in
-  let component = Hashtbl.create 97 in
-  let comps = ref [] in
-  let n_comps = ref 0 in
-  (* Explicit DFS stack of (node, remaining successors). *)
-  let visit v0 =
-    let call_stack = ref [ (v0, ref (List.filter (Hashtbl.mem in_scope) (succ v0))) ] in
-    Hashtbl.replace index v0 !next_index;
-    Hashtbl.replace lowlink v0 !next_index;
+(* Tarjan's algorithm on nodes [0 .. n-1], with the successors of [v] at
+   [adj.(first.(v)) .. adj.(first.(v+1) - 1)] and roots tried in node
+   order.  The DFS keeps its own stack, so deep graphs are safe.  Returns
+   each node's component, numbered in completion order, the nodes in the
+   order they left the stack, and the component count. *)
+let tarjan ~n ~first ~adj =
+  let index = Array.make n (-1) and lowlink = Array.make n 0 in
+  let on_stack = Array.make n false and comp = Array.make n (-1) in
+  let stack = Array.make n 0 and sp = ref 0 in
+  let popped = Array.make n 0 and np = ref 0 in
+  (* DFS frames: a node, and the position of its next successor. *)
+  let frame = Array.make n 0 and cursor = Array.make n 0 and depth = ref 0 in
+  let next_index = ref 0 and n_comps = ref 0 in
+  let enter v =
+    index.(v) <- !next_index;
+    lowlink.(v) <- !next_index;
     incr next_index;
-    stack := v0 :: !stack;
-    Hashtbl.replace on_stack v0 ();
-    while !call_stack <> [] do
-      match !call_stack with
-      | [] -> ()
-      | (v, rest) :: tl -> (
-          match !rest with
-          | w :: ws ->
-              rest := ws;
-              if not (Hashtbl.mem index w) then begin
-                Hashtbl.replace index w !next_index;
-                Hashtbl.replace lowlink w !next_index;
-                incr next_index;
-                stack := w :: !stack;
-                Hashtbl.replace on_stack w ();
-                call_stack :=
-                  (w, ref (List.filter (Hashtbl.mem in_scope) (succ w)))
-                  :: !call_stack
-              end
-              else if Hashtbl.mem on_stack w then
-                Hashtbl.replace lowlink v
-                  (min (Hashtbl.find lowlink v) (Hashtbl.find index w))
-          | [] ->
-              call_stack := tl;
-              if Hashtbl.find lowlink v = Hashtbl.find index v then begin
-                let cid = !n_comps in
-                incr n_comps;
-                let members = ref [] in
-                let continue_ = ref true in
-                while !continue_ do
-                  match !stack with
-                  | [] -> continue_ := false
-                  | w :: rest ->
-                      stack := rest;
-                      Hashtbl.remove on_stack w;
-                      Hashtbl.replace component w cid;
-                      members := w :: !members;
-                      if w = v then continue_ := false
-                done;
-                comps := !members :: !comps
-              end;
-              (match tl with
-              | (parent, _) :: _ ->
-                  Hashtbl.replace lowlink parent
-                    (min (Hashtbl.find lowlink parent) (Hashtbl.find lowlink v))
-              | [] -> ()))
-    done
+    stack.(!sp) <- v;
+    incr sp;
+    on_stack.(v) <- true;
+    frame.(!depth) <- v;
+    cursor.(v) <- first.(v);
+    incr depth
   in
-  List.iter (fun n -> if not (Hashtbl.mem index n) then visit n) nodes;
-  let members = Array.make !n_comps [] in
-  List.iteri (fun i ms -> members.(!n_comps - 1 - i) <- ms) (List.rev !comps);
-  (* Renumber so that component ids follow discovery; rebuild mapping. *)
-  let component' = Hashtbl.create 97 in
-  Array.iteri
-    (fun cid ms -> List.iter (fun n -> Hashtbl.replace component' n cid) ms)
-    members;
-  ignore component;
-  { component = component'; members }
+  for root = 0 to n - 1 do
+    if index.(root) < 0 then enter root;
+    while !depth > 0 do
+      let v = frame.(!depth - 1) in
+      let k = cursor.(v) in
+      if k < first.(v + 1) then begin
+        cursor.(v) <- k + 1;
+        let w = adj.(k) in
+        if index.(w) < 0 then enter w
+        else if on_stack.(w) then lowlink.(v) <- min lowlink.(v) index.(w)
+      end
+      else begin
+        decr depth;
+        if lowlink.(v) = index.(v) then begin
+          let c = !n_comps in
+          incr n_comps;
+          let rec pop () =
+            decr sp;
+            let w = stack.(!sp) in
+            on_stack.(w) <- false;
+            comp.(w) <- c;
+            popped.(!np) <- w;
+            incr np;
+            if w <> v then pop ()
+          in
+          pop ()
+        end;
+        if !depth > 0 then begin
+          let parent = frame.(!depth - 1) in
+          lowlink.(parent) <- min lowlink.(parent) lowlink.(v)
+        end
+      end
+    done
+  done;
+  (comp, popped, !n_comps)
 
-let component_of t n = Hashtbl.find_opt t.component n
+let components ~n ~first ~adj =
+  let comp, _, _ = tarjan ~n ~first ~adj in
+  comp
+
+(** [compute ~nodes ~succ] returns the SCCs of the directed graph induced
+    by [nodes] (non-negative ids, such as unit ids); [succ n] lists the
+    successors of [n] (successors outside [nodes] are ignored).
+    Component ids are in reverse topological order of the condensation
+    (id 0 has no predecessors among later ids), and each component lists
+    its nodes in the order the DFS reached them. *)
+let compute ~nodes ~succ =
+  let bound = List.fold_left (fun b v -> max b (v + 1)) 0 nodes in
+  (* Dense numbering in [nodes] order, so roots are tried in that order. *)
+  let dense = Array.make bound (-1) and n = ref 0 in
+  List.iter
+    (fun v ->
+      if dense.(v) < 0 then begin
+        dense.(v) <- !n;
+        incr n
+      end)
+    nodes;
+  let n = !n in
+  let ids = Array.make n 0 in
+  Array.iteri (fun v i -> if i >= 0 then ids.(i) <- v) dense;
+  let local =
+    Array.map
+      (fun v ->
+        List.filter_map
+          (fun w -> if w >= 0 && w < bound && dense.(w) >= 0 then Some dense.(w) else None)
+          (succ v))
+      ids
+  in
+  let first = Array.make (n + 1) 0 in
+  Array.iteri (fun i ws -> first.(i + 1) <- first.(i) + List.length ws) local;
+  let adj = Array.make first.(n) 0 in
+  Array.iteri (fun i ws -> List.iteri (fun k w -> adj.(first.(i) + k) <- w) ws) local;
+  let comp, popped, count = tarjan ~n ~first ~adj in
+  (* Renumber: the last component completed gets id 0. *)
+  let component = Array.make bound (-1) and members = Array.make count [] in
+  Array.iteri (fun i c -> component.(ids.(i)) <- count - 1 - c) comp;
+  Array.iter
+    (fun i ->
+      let c = count - 1 - comp.(i) in
+      members.(c) <- ids.(i) :: members.(c))
+    popped;
+  { component; members }
+
+let component_of t n =
+  if n >= 0 && n < Array.length t.component && t.component.(n) >= 0 then
+    Some t.component.(n)
+  else None
 
 let same_component t a b =
   match (component_of t a, component_of t b) with

@@ -4,9 +4,16 @@
 
 type t
 
-(** SCCs of the directed graph induced by [nodes]; successors outside
-    [nodes] are ignored.  Iterative: safe on very deep graphs. *)
+(** SCCs of the directed graph induced by [nodes], which are
+    non-negative ids such as unit ids; successors outside [nodes] are
+    ignored.  Iterative, with Tarjan's state in arrays indexed by node:
+    safe on very deep graphs. *)
 val compute : nodes:int list -> succ:(int -> int list) -> t
+
+(** Tarjan on a packed graph of nodes [0 .. n-1], the successors of [v]
+    being [adj.(first.(v)) .. adj.(first.(v+1) - 1)]: each node's
+    component.  Two nodes share a component iff they share an SCC. *)
+val components : n:int -> first:int array -> adj:int array -> int array
 
 val component_of : t -> int -> int option
 val same_component : t -> int -> int -> bool

@@ -31,17 +31,18 @@ let is_backedge g (c : Graph.channel) =
   | Types.Mux _ -> c.dst.port = 1 && Graph.is_loop_header g c.dst.unit_id
   | _ -> false
 
-(** Edges of the timed graph restricted to units satisfying [in_scope]
-    (all units by default). *)
-let edges ?(in_scope = fun _ -> true) g =
+let of_channel g (c : Graph.channel) =
+  let u = c.src.unit_id in
+  let k = Graph.kind_of g u in
+  {
+    src = u;
+    dst = c.dst.unit_id;
+    latency = unit_latency k;
+    tokens = unit_initial_tokens k + (if is_backedge g c then 1 else 0);
+  }
+
+(** Edges of the whole timed graph, in reverse channel order. *)
+let edges g =
   let acc = ref [] in
-  Graph.iter_channels g (fun c ->
-      let u = c.src.unit_id and v = c.dst.unit_id in
-      if in_scope u && in_scope v then begin
-        let k = Graph.kind_of g u in
-        let tokens =
-          unit_initial_tokens k + (if is_backedge g c then 1 else 0)
-        in
-        acc := { src = u; dst = v; latency = unit_latency k; tokens } :: !acc
-      end);
+  Graph.iter_channels g (fun c -> acc := of_channel g c :: !acc);
   !acc

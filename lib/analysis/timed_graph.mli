@@ -15,6 +15,10 @@ val unit_initial_tokens : Dataflow.Types.kind -> int
     loop-header mux)? *)
 val is_backedge : Dataflow.Graph.t -> Dataflow.Graph.channel -> bool
 
-(** Edges of the timed graph restricted to units satisfying [in_scope]
-    (all units by default). *)
-val edges : ?in_scope:(int -> bool) -> Dataflow.Graph.t -> edge list
+(** The timed edge of one channel: the only definition of its latency
+    and tokens. *)
+val of_channel : Dataflow.Graph.t -> Dataflow.Graph.channel -> edge
+
+(** Edges of the whole timed graph, one per channel, in reverse channel
+    order. *)
+val edges : Dataflow.Graph.t -> edge list

@@ -67,7 +67,6 @@ let rotation_graph ctx (cfc : Analysis.Cfc.t) ops =
   match program_order g (List.filter (Analysis.Cfc.mem cfc) ops) with
   | [] | [ _ ] -> None
   | first :: _ as members ->
-      let edges = Analysis.Timed_graph.edges g ~in_scope:(Analysis.Cfc.mem cfc) in
       (* Rotation ring: each member hands the turn to the next after
          occupying the first pipeline stage (1 cycle); one turn token
          circulates. *)
@@ -82,7 +81,7 @@ let rotation_graph ctx (cfc : Analysis.Cfc.t) ops =
             :: acc
         | [] -> acc
       in
-      Some (ring edges members)
+      Some (ring cfc.edges members)
 
 (* The expensive check: recompute every critical CFC's cycle ratio with
    the rotation ring added, and require the II to be preserved. *)

@@ -63,12 +63,12 @@ let apply g (spec : spec) =
   let arbiter =
     Graph.add_unit g
       (Arbiter { inputs = n; policy = spec.policy })
-      ~label:(Fmt.str "arb_%s" name) ~loop:group_loop
+      ~label:("arb_" ^ name) ~loop:group_loop
   in
   let shared =
     Graph.add_unit g
       (Operator { op; latency; ports = 1 })
-      ~label:(Fmt.str "shared_%s" name) ~loop:group_loop
+      ~label:("shared_" ^ name) ~loop:group_loop
   in
   let sum_credits = List.fold_left ( + ) 0 spec.credits in
   (* The condition buffer is registered: it cuts the combinational
@@ -84,12 +84,12 @@ let apply g (spec : spec) =
            init = [];
            narrow = true;
          })
-      ~label:(Fmt.str "cond_%s" name) ~loop:group_loop
+      ~label:("cond_" ^ name) ~loop:group_loop
   in
   let branch =
     Graph.add_unit g
       (Branch { outputs = n })
-      ~label:(Fmt.str "dispatch_%s" name) ~loop:group_loop
+      ~label:("dispatch_" ^ name) ~loop:group_loop
   in
   ignore (Graph.connect g (arbiter, 0) (shared, 0));
   ignore (Graph.connect g (arbiter, 1) (cond_buffer, 0));
@@ -99,7 +99,7 @@ let apply g (spec : spec) =
   List.iteri
     (fun i (op_uid, (n_cc, n_ob)) ->
       let bb = Graph.bb_of g op_uid and loop = Graph.loop_of g op_uid in
-      let lbl suffix = Fmt.str "%s_%s%d" suffix name i in
+      let lbl suffix = suffix ^ "_" ^ name ^ string_of_int i in
       let cc =
         Graph.add_unit g (Credit_counter { init = n_cc }) ~bb ~loop
           ~label:(lbl "cc")

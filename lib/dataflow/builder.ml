@@ -202,7 +202,7 @@ let counted_loop ?bb ?loop ?(control_overhead = 0) b ~inits ~cond ~body =
   let muxes =
     List.init n (fun i ->
         let m =
-          add_unit ?bb ?loop b (Mux { inputs = 2 }) ~label:(Fmt.str "hdr_mux%d" i)
+          add_unit ?bb ?loop b (Mux { inputs = 2 }) ~label:("hdr_mux" ^ string_of_int i)
         in
         Graph.mark_loop_header b.g m;
         m)
@@ -298,7 +298,7 @@ let finalize b =
               Graph.add_unit b.g
                 (Fork { outputs = List.length ds; lazy_ = false })
                 ~bb:u.Graph.bb ~loop:u.Graph.loop
-                ~label:(Fmt.str "fork_%s" u.Graph.label)
+                ~label:("fork_" ^ u.Graph.label)
             in
             ignore (Graph.connect b.g (u.Graph.uid, p) (f, 0));
             List.iteri (fun i d -> ignore (Graph.connect b.g (f, i) d)) ds

@@ -66,7 +66,7 @@ let add_unit ?(label = "") ?(bb = -1) ?(loop = -1) g kind =
   g.out_of <- grow g.out_of uid [||];
   g.in_of <- grow g.in_of uid [||];
   let n_in, n_out = arity kind in
-  let label = if label = "" then Fmt.str "%s_%d" (kind_name kind) uid else label in
+  let label = if label = "" then kind_name kind ^ "_" ^ string_of_int uid else label in
   g.units.(uid) <- Some { uid; kind; label; bb; loop; loop_header = false; pinned = false; dead = false };
   g.out_of.(uid) <- Array.make n_out (-1);
   g.in_of.(uid) <- Array.make n_in (-1);

@@ -56,14 +56,14 @@ let keyword = function
   | "else" -> Some KW_else
   | _ -> None
 
-(** Tokenize a full source string into (token, source position) pairs;
+(** Tokenize a full source string into (token, byte offset) pairs;
     raises {!Frontend.Error} on bad input. *)
-let tokenize_located src =
+let tokenize_offsets src =
   let n = String.length src in
   let toks = ref [] in
   let i = ref 0 in
   let peek k = if !i + k < n then Some src.[!i + k] else None in
-  let emit ~start t = toks := (t, Frontend.loc_of_pos src start) :: !toks in
+  let emit ~start t = toks := (t, start) :: !toks in
   let fail ~at ?token fmt =
     Fmt.kstr
       (fun message ->
@@ -160,5 +160,24 @@ let tokenize_located src =
   emit ~start:n EOF;
   List.rev !toks
 
+(** Tokenize into (token, source position) pairs.  Token offsets only
+    grow, so one walk over the source, counting lines as it goes, gives
+    every position: the same as {!Frontend.loc_of_pos} at each offset,
+    in linear time.  Raises {!Frontend.Error} on bad input. *)
+let tokenize_located src =
+  let line = ref 1 and bol = ref 0 and pos = ref 0 in
+  let locate (t, start) =
+    while !pos < start do
+      if src.[!pos] = '\n' then begin
+        incr line;
+        bol := !pos + 1
+      end;
+      incr pos
+    done;
+    (t, { Frontend.line = !line; column = start - !bol + 1 })
+  in
+  (* [rev_map] applies [locate] from the first token on. *)
+  List.rev (List.rev_map locate (tokenize_offsets src))
+
 (** Token stream without positions (the parser uses the located one). *)
-let tokenize src = List.map fst (tokenize_located src)
+let tokenize src = List.map fst (tokenize_offsets src)

@@ -356,7 +356,8 @@ let finish t ~kernel ~total_cycles =
   in
   let loops =
     List.filter_map
-      (fun loop_id ->
+      (fun (cfc : Analysis.Cfc.t) ->
+        let loop_id = cfc.loop_id in
         (* prefer the loop-header mux; fall back to the loop's most
            fired unit so untagged loops still get a row *)
         let header =
@@ -392,9 +393,9 @@ let finish t ~kernel ~total_cycles =
                 measured_ii =
                   measured_ii ~first:t.first_fire.(u.uid)
                     ~last:t.last_fire.(u.uid) ~fires;
-                assumed_ii = Analysis.Cfc.ii_value (Analysis.Cfc.of_loop t.g loop_id);
+                assumed_ii = Analysis.Cfc.ii_value cfc;
               })
-      (Analysis.Cfc.loop_ids t.g)
+      (Analysis.Cfc.all t.g)
   in
   { kernel; total_cycles; units; channels; credits; arbiters; buffers; loops }
 

@@ -146,6 +146,83 @@ let test_occupancy () =
         cfc.Analysis.Cfc.units)
     cfcs
 
+(* The per-loop scan the one-pass CFCs replaced: a fold over the units
+   for the loop's members, and the whole timed graph filtered to them. *)
+let per_loop_scan g loop =
+  let units =
+    Dataflow.Graph.fold_units g
+      (fun acc u ->
+        if u.Dataflow.Graph.loop = loop then u.Dataflow.Graph.uid :: acc else acc)
+      []
+  in
+  let scope = Hashtbl.create 97 in
+  List.iter (fun u -> Hashtbl.replace scope u ()) units;
+  let edges =
+    List.filter
+      (fun (e : Analysis.Timed_graph.edge) ->
+        Hashtbl.mem scope e.src && Hashtbl.mem scope e.dst)
+      (Analysis.Timed_graph.edges g)
+  in
+  (units, edges)
+
+let edge_t =
+  Alcotest.testable
+    (fun ppf (e : Analysis.Timed_graph.edge) ->
+      Fmt.pf ppf "%d->%d lat %d tok %d" e.src e.dst e.latency e.tokens)
+    ( = )
+
+(* Every loop's CFC from one pass holds the per-loop scan's units and
+   timed edges in the same order, its membership test agrees with the
+   loop tags, and its II is the solver's on those edges.  The critical
+   CFCs are the same as the loop's CFC in the whole set. *)
+let check_one_pass name (c : Minic.Codegen.compiled) =
+  let g = c.Minic.Codegen.graph in
+  let all = Analysis.Cfc.all g in
+  let loops =
+    Dataflow.Graph.fold_units g (fun acc u -> u.Dataflow.Graph.loop :: acc) []
+    |> List.filter (fun l -> l >= 0)
+    |> List.sort_uniq compare
+  in
+  Alcotest.(check (list int))
+    (name ^ ": one CFC per loop") loops
+    (List.map (fun (cfc : Analysis.Cfc.t) -> cfc.loop_id) all);
+  List.iter
+    (fun (cfc : Analysis.Cfc.t) ->
+      let what = Fmt.str "%s loop %d" name cfc.loop_id in
+      let units, edges = per_loop_scan g cfc.loop_id in
+      Alcotest.(check (list int)) (what ^ ": units") units cfc.units;
+      Alcotest.(check (list edge_t)) (what ^ ": timed edges") edges cfc.edges;
+      checkb (what ^ ": ii") (Analysis.Cycle_ratio.compute edges = cfc.ii);
+      Dataflow.Graph.iter_units g (fun u ->
+          if Analysis.Cfc.mem cfc u.Dataflow.Graph.uid <> (u.Dataflow.Graph.loop = cfc.loop_id)
+          then Alcotest.failf "%s: membership of unit %d" what u.Dataflow.Graph.uid))
+    all;
+  List.iter2
+    (fun l (cfc : Analysis.Cfc.t) ->
+      let whole = List.find (fun (w : Analysis.Cfc.t) -> w.loop_id = l) all in
+      checkb
+        (Fmt.str "%s: critical loop %d" name l)
+        (cfc.loop_id = l && cfc.units = whole.units && cfc.edges = whole.edges
+       && cfc.ii = whole.ii && cfc.mem_ii = whole.mem_ii))
+    c.Minic.Codegen.critical_loops
+    (Analysis.Cfc.critical g ~critical_loops:c.Minic.Codegen.critical_loops)
+
+let test_one_pass_kernels () =
+  List.iter
+    (fun (b : Kernels.Registry.bench) ->
+      List.iter
+        (fun (sname, strategy) ->
+          check_one_pass (b.name ^ "/" ^ sname) (compile ~strategy b.source))
+        Minic.Codegen.[ ("bb", Bb_ordered); ("fast", Fast_token) ])
+    Kernels.Registry.all
+
+let test_one_pass_gesummv () =
+  List.iter
+    (fun factor ->
+      let _, ast = Kernels.Registry.gesummv_unrolled ~n:75 ~factor in
+      check_one_pass (Fmt.str "gesummv x%d" factor) (Minic.Codegen.compile ast))
+    [ 3; 5; 15; 25 ]
+
 (* ------------------------------------------------------------------ *)
 (* Distances *)
 
@@ -308,4 +385,6 @@ let suite =
     ("timing: sharing adds CP", `Quick, test_sharing_increases_cp);
     ("sizing: shrinks", `Quick, test_buffer_sizing_shrinks);
     ("retime: cuts off-ring paths", `Slow, test_retime_cuts_offring);
+    ("cfc: one pass = per-loop scan, kernels", `Quick, test_one_pass_kernels);
+    ("cfc: one pass = per-loop scan, gesummv x3-x25", `Slow, test_one_pass_gesummv);
   ]

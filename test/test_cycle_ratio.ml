@@ -3,12 +3,12 @@
     against the packed-array solver in [Analysis.Cycle_ratio].  The
     contract is bit-identity: every [Ratio] float must have the same
     IEEE bits and every [Acyclic]/[Unbounded] verdict must agree, on
-    small random timed graphs, on larger random rings with chords (long
-    parent cycles, several ratio-iteration steps), on a graph whose
-    first-found cycle is not the critical one, on every CFC of every
-    kernel under both codegen strategies, on unrolled gesummv up to
-    Table 1's x75, and on every rotation-ring graph the In-order baseline
-    evaluates. *)
+    small random timed graphs (also with zero and negative latencies),
+    on larger random rings with chords (long parent cycles, several
+    ratio-iteration steps), on a graph whose first-found cycle is not the
+    critical one, on every CFC of every kernel under both codegen
+    strategies, on unrolled gesummv up to Table 1's x75, and on every
+    rotation-ring graph the In-order baseline evaluates. *)
 
 open Helpers
 
@@ -58,27 +58,43 @@ let check_same name edges =
 
 (* One part: up to 6 nodes and 12 edges, so self-loops, parallel edges
    and token-free cycles are common. *)
-let gen_part =
+let gen_part_with latency =
   QCheck2.Gen.(
     let* n = int_range 1 6 in
     list_size (int_range 0 12)
-      (quad (int_bound (n - 1)) (int_bound (n - 1)) (int_range 0 9)
+      (quad (int_bound (n - 1)) (int_bound (n - 1)) latency
          (frequencyl [ (3, 0); (2, 1); (1, 2) ])))
+
+let gen_part = gen_part_with (QCheck2.Gen.int_range 0 9)
 
 let shift off = List.map (fun (s, d, l, t) -> edge (s + off) (d + off) l t)
 
 (* One or two disconnected parts; the second is renumbered from 100. *)
-let gen_timed_graph =
+let gen_timed_graph_with part =
   QCheck2.Gen.(
     map2
       (fun a b -> shift 0 a @ shift 100 b)
-      gen_part
-      (frequency [ (2, return []); (1, gen_part) ]))
+      part
+      (frequency [ (2, return []); (1, part) ]))
 
 let prop_random_graphs =
   qtest ~count:500 "random timed graphs: packed = oracle"
-    ~print:(Fmt.str "%a" pp_edges) gen_timed_graph (fun edges ->
+    ~print:(Fmt.str "%a" pp_edges) (gen_timed_graph_with gen_part) (fun edges ->
       mismatch edges = None)
+
+(* Latencies that are mostly zero and sometimes negative: token-free
+   cycles of zero latency, which are not unbounded, and token-free
+   cycles whose negative latencies cancel their positive ones, where the
+   solver falls back from its SCC test to Bellman–Ford. *)
+let prop_zero_negative_latencies =
+  let latency =
+    QCheck2.Gen.frequency
+      QCheck2.Gen.[ (3, return 0); (2, int_range 1 9); (1, int_range (-6) (-1)) ]
+  in
+  qtest ~count:500 "zero and negative latencies: packed = oracle"
+    ~print:(Fmt.str "%a" pp_edges)
+    (gen_timed_graph_with (gen_part_with latency))
+    (fun edges -> mismatch edges = None)
 
 (* A ring of 2-300 nodes carrying at least one token, plus forward
    chords (mostly token-free) and backward chords (1-3 tokens), in
@@ -133,17 +149,14 @@ let test_two_step_iteration () =
 (* ------------------------------------------------------------------ *)
 (* Circuits *)
 
-let cfc_edges g loop =
-  let cfc = Analysis.Cfc.of_loop g loop in
-  Analysis.Timed_graph.edges g ~in_scope:(Analysis.Cfc.mem cfc)
-
 (* Every CFC of the circuit, plus the whole timed graph. *)
 let check_circuit name (c : Minic.Codegen.compiled) =
   let g = c.Minic.Codegen.graph in
   check_same (name ^ " whole circuit") (Analysis.Timed_graph.edges g);
   List.iter
-    (fun loop -> check_same (Fmt.str "%s loop %d" name loop) (cfc_edges g loop))
-    (Analysis.Cfc.loop_ids g)
+    (fun (cfc : Analysis.Cfc.t) ->
+      check_same (Fmt.str "%s loop %d" name cfc.loop_id) cfc.edges)
+    (Analysis.Cfc.all g)
 
 let strategies = Minic.Codegen.[ ("bb", Bb_ordered); ("fast", Fast_token) ]
 
@@ -245,4 +258,5 @@ let suite =
     Alcotest.test_case "oracle: gesummv x3-x25 CFCs" `Slow test_gesummv_cfcs;
     Alcotest.test_case "oracle: Table 1 gesummv x75" `Slow test_gesummv_x75;
     Alcotest.test_case "oracle: In-order rotation rings" `Slow test_inorder_rings;
+    prop_zero_negative_latencies;
   ]
