@@ -1038,18 +1038,9 @@ let string_has_prefix ~prefix s =
   && String.sub s 0 (String.length prefix) = prefix
 
 let read_lines path =
-  if not (Sys.file_exists path) then []
-  else begin
-    let ic = open_in path in
-    let rec go acc =
-      match input_line ic with
-      | l -> go (l :: acc)
-      | exception End_of_file ->
-          close_in ic;
-          List.rev acc
-    in
-    go []
-  end
+  if Sys.file_exists path then
+    In_channel.with_open_text path In_channel.input_lines
+  else []
 
 (** [chaos --shards N]: the supervised sweep with every shard in its own
     crash-isolated worker process ({!Exec.Supervisor}).  With
@@ -1184,7 +1175,10 @@ let chaos_sharded ~shards ~trials ~seed ~timeout_s ~retries ~journal ~fsync
       "warning: resume superseded %d duplicate journal record(s) — a \
        replayed or merged sweep; latest record wins@."
       st.n_resume_dups;
-  let self_test_failed = ref false in
+  let self_test_failed = ref (self_test && st.n_chaos_kills < crash_workers) in
+  if !self_test_failed then
+    Fmt.pr "crash-chaos: MISSED KILLS: %d of %d chaos kill(s) landed@."
+      st.n_chaos_kills crash_workers;
   if self_test then begin
     Fmt.pr "crash-chaos: serial rerun for the byte-identity check...@.";
     let sup =

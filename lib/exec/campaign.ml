@@ -71,17 +71,19 @@ let no_supervision =
   { timeout_s = None; retries = 0; journal = None; fsync = false;
     poll_every = None }
 
-(** Deadline predicate for one attempt.  [limit <= 0.0] fires at the
-    very first poll — before any wall-clock time elapses — so a zero
-    timeout interrupts at a deterministic simulated cycle, which is what
-    the jobs-1-vs-jobs-4 bit-identity tests rely on. *)
+(** Deadline predicate for one attempt, on the monotonic clock (a
+    wall-clock step must not fire or starve it).  [limit <= 0.0] fires
+    at the very first poll — before any time elapses — so a zero timeout
+    interrupts at a deterministic simulated cycle, which is what the
+    jobs-1-vs-jobs-4 bit-identity tests rely on. *)
 let make_deadline = function
   | None -> fun () -> false
   | Some limit ->
       if limit <= 0.0 then fun () -> true
       else
-        let t0 = Unix.gettimeofday () in
-        fun () -> Unix.gettimeofday () -. t0 >= limit
+        let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9 in
+        let t0 = now () in
+        fun () -> now () -. t0 >= limit
 
 (** The one attempt-and-retry loop, shared between the in-process
     campaign below and the out-of-process shard workers

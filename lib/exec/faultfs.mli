@@ -59,25 +59,21 @@ val verdict_to_json : scenario_name:string -> verdict -> Jsonl.t
 
 (** {2 Built-in scenarios} *)
 
-(** Fsync'd journal: append 4 records, then resume after the fault and
-    re-append whatever was lost.  Invariants: loads never raise, the
-    acked set is never lost, the key set stays prefix-closed. *)
-val journal_scenario : unit -> scenario
-
-(** {!Journal.write_atomic} over an existing target: the file must
-    always hold exactly the old bytes or the new bytes. *)
-val atomic_scenario : unit -> scenario
-
-(** 3-shard journal merge: the merged file is absent or byte-identical
-    to the serial merge — never torn. *)
-val merge_scenario : unit -> scenario
-
 (** Serial supervised campaign over [n_tasks] journalled tasks;
     recovery resumes from the journal and writes the canonical merged
     journal, which must be byte-identical to the fault-free run's. *)
 val campaign_scenario : ?n_tasks:int -> unit -> scenario
 
-(** All of the above, in a fixed order. *)
+(** Every built-in scenario, in a fixed order:
+    - [journal]: an fsync'd journal appends 4 records, then resumes
+      after the fault and re-appends whatever was lost.  Loads never
+      raise, the acked set is never lost, the key set stays
+      prefix-closed.
+    - [atomic]: {!Journal.write_atomic} over an existing target; the
+      file always holds exactly the old bytes or the new bytes.
+    - [merge]: a 3-shard journal merge; the merged file is absent or
+      byte-identical to the serial merge, never torn.
+    - [campaign]: {!campaign_scenario} with its default task count. *)
 val builtin : unit -> scenario list
 
 val find : string -> scenario option

@@ -103,15 +103,6 @@ let disarm () =
 
 let armed () = match !state with Off -> false | Armed _ -> true
 
-let ops_seen () =
-  match !state with
-  | Off -> 0
-  | Armed a ->
-      Mutex.lock a.mu;
-      let n = a.ops in
-      Mutex.unlock a.mu;
-      n
-
 let fired () =
   match !state with
   | Off -> 0

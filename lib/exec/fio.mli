@@ -83,9 +83,6 @@ val disarm : unit -> int
 
 val armed : unit -> bool
 
-(** Ops numbered so far under the current arming. *)
-val ops_seen : unit -> int
-
 (** Times the plan fired under the current arming. *)
 val fired : unit -> int
 

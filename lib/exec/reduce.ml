@@ -391,11 +391,16 @@ let kind_to_json k =
   | Types.Sink -> tag "sink" []
   | Types.Stub -> tag "stub" []
 
-let kind_of_json j =
+let kind_of_json ~max_ports j =
   let ( let* ) = Option.bind in
   let int name = Option.bind (Jsonl.member name j) Jsonl.to_int in
   (* port counts and buffer slots size arrays: never negative *)
   let count name = Option.bind (int name) (fun n -> if n >= 0 then Some n else None) in
+  (* every port of a valid circuit is connected, so no port count
+     exceeds the channel count; a larger one would only allocate *)
+  let ports name =
+    Option.bind (count name) (fun n -> if n <= max_ports then Some n else None)
+  in
   let bool name = Option.bind (Jsonl.member name j) Jsonl.to_bool in
   let str name = Option.bind (Jsonl.member name j) Jsonl.to_str in
   let value name = Option.bind (Jsonl.member name j) Outcome.value_of_json in
@@ -409,27 +414,27 @@ let kind_of_json j =
       let* v = value "v" in
       Some (Types.Const v)
   | "fork" ->
-      let* outputs = count "outputs" in
+      let* outputs = ports "outputs" in
       let* lazy_ = bool "lazy" in
       Some (Types.Fork { outputs; lazy_ })
   | "join" ->
-      let* inputs = count "inputs" in
+      let* inputs = ports "inputs" in
       let* ks = Option.bind (Jsonl.member "keep" j) Jsonl.to_list in
       let bs = List.filter_map Jsonl.to_bool ks in
       if List.length bs <> List.length ks then None
       else Some (Types.Join { inputs; keep = Array.of_list bs })
   | "merge" ->
-      let* inputs = count "inputs" in
+      let* inputs = ports "inputs" in
       Some (Types.Merge { inputs })
   | "arbiter" ->
-      let* inputs = count "inputs" in
+      let* inputs = ports "inputs" in
       let* policy = Option.bind (Jsonl.member "policy" j) policy_of_json in
       Some (Types.Arbiter { inputs; policy })
   | "mux" ->
-      let* inputs = count "inputs" in
+      let* inputs = ports "inputs" in
       Some (Types.Mux { inputs })
   | "branch" ->
-      let* outputs = count "outputs" in
+      let* outputs = ports "outputs" in
       Some (Types.Branch { outputs })
   | "buffer" ->
       let* slots = count "slots" in
@@ -442,7 +447,7 @@ let kind_of_json j =
   | "op" ->
       let* op = Option.bind (str "op") opcode_of_string in
       let* latency = int "latency" in
-      let* ports = count "ports" in
+      let* ports = ports "ports" in
       Some (Types.Operator { op; latency; ports })
   | "load" ->
       let* memory = str "memory" in
@@ -512,8 +517,9 @@ let graph_of_json j =
   let* channels = Option.bind (Jsonl.member "channels" j) Jsonl.to_list in
   let* memories = Option.bind (Jsonl.member "memories" j) Jsonl.to_list in
   let g = Graph.create () in
+  let max_ports = List.length channels in
   let unit_ok u =
-    let* kind = Option.bind (Jsonl.member "kind" u) kind_of_json in
+    let* kind = Option.bind (Jsonl.member "kind" u) (kind_of_json ~max_ports) in
     let* label = Option.bind (Jsonl.member "label" u) Jsonl.to_str in
     let* bb = Option.bind (Jsonl.member "bb" u) Jsonl.to_int in
     let* loop = Option.bind (Jsonl.member "loop" u) Jsonl.to_int in

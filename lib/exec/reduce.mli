@@ -62,8 +62,6 @@ val minimize :
     memories) — loadable with {!load_repro} and re-runnable with
     {!simulate} without any of the code that produced it. *)
 
-val repro_schema_version : int
-
 type meta = {
   fault : string;       (** what produced the failing circuit *)
   invariant : string;   (** sanitizer invariant the repro trips *)
@@ -74,7 +72,8 @@ type meta = {
 val meta_of_result : fault:string -> result -> meta
 
 (** Circuit codec; [graph_of_json] returns [None] on any shape
-    mismatch and never raises. *)
+    mismatch or on a unit with more ports than the payload has channels
+    (a valid circuit connects every port), and never raises. *)
 val graph_to_json : Dataflow.Graph.t -> Jsonl.t
 val graph_of_json : Jsonl.t -> Dataflow.Graph.t option
 

@@ -18,6 +18,10 @@ type stats = {
 
 type result = { outcomes : (string * int * Jsonl.t) list; stats : stats }
 
+(* Relative timers (heartbeat silence, hard timeout, backoff) read the
+   monotonic clock: a wall-clock step must not fire or starve them. *)
+let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
+
 (* ------------------------------------------------------------------ *)
 (* Worker-side plumbing                                                *)
 
@@ -100,9 +104,9 @@ let worker_main ~opts ~run () =
     match Wire.read stdin with
     | None | Some Wire.Shutdown -> bye ()
     | Some (Wire.Job { key; spec }) ->
-        let last = ref 0.0 in
+        let last = ref Float.neg_infinity in
         let heartbeat () =
-          let now = Unix.gettimeofday () in
+          let now = now () in
           if now -. !last >= 0.1 then begin
             last := now;
             send (Wire.Heartbeat { key })
@@ -133,12 +137,7 @@ type kill_mark = Preempt | Chaos
 
 type worker = {
   shard : int;
-  mutable pid : int;
-  mutable to_fd : Unix.file_descr;
-  mutable oc : out_channel;
-  mutable from_fd : Unix.file_descr;
-  mutable dec : Wire.decoder;
-  mutable alive : bool;
+  mutable proc : Worker.t option;  (** [Some] while the process is live *)
   mutable queue : task list;
   mutable inflight : task option;
   mutable started : float;
@@ -163,11 +162,6 @@ let backoff_delay ~backoff_s ~seed ~shard ~n =
   let expo = backoff_s *. (2.0 ** float_of_int (min 6 (n - 1))) in
   expo *. (0.75 +. (0.5 *. jitter01 ~seed ~shard ~n))
 
-let status_reason = function
-  | Unix.WEXITED c -> Fmt.str "exit %d" c
-  | Unix.WSIGNALED s -> Fmt.str "signal %d" s
-  | Unix.WSTOPPED s -> Fmt.str "stopped %d" s
-
 let run ?(shards = 2) ?hard_timeout_s ?(heartbeat_s = 10.0) ?(retries = 1)
     ?(max_respawns = 5) ?(backoff_s = 0.05) ?(seed = 0) ?journal
     ?(fsync = false) ?(chaos_kills = 0) ?(verbose = false) ~worker_args
@@ -179,7 +173,6 @@ let run ?(shards = 2) ?hard_timeout_s ?(heartbeat_s = 10.0) ?(retries = 1)
   in
   let prog = Sys.executable_name in
   let saved_sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
-  let now () = Unix.gettimeofday () in
   let n_total = List.length tasks in
   let keys = List.map (fun (t : task) -> t.key) tasks in
   let shard_paths =
@@ -231,12 +224,7 @@ let run ?(shards = 2) ?hard_timeout_s ?(heartbeat_s = 10.0) ?(retries = 1)
              chunk;
            {
              shard;
-             pid = -1;
-             to_fd = Unix.stdin;
-             oc = stderr;
-             from_fd = Unix.stdin;
-             dec = Wire.create_decoder ();
-             alive = false;
+             proc = None;
              queue = chunk;
              inflight = None;
              started = 0.0;
@@ -249,40 +237,24 @@ let run ?(shards = 2) ?hard_timeout_s ?(heartbeat_s = 10.0) ?(retries = 1)
          chunks)
   in
   let spawn (w : worker) =
-    (* Supervisor-side pipe ends are close-on-exec, so worker B never
-       inherits worker A's pipes — A's EOF must arrive the moment A
-       dies, not when the last sibling exits. *)
-    let child_in, to_w = Unix.pipe ~cloexec:true () in
-    let from_w, child_out = Unix.pipe ~cloexec:true () in
-    let argv =
-      Array.of_list
-        (prog :: worker_args
+    let h =
+      Worker.spawn ~binary:prog
+        (worker_args
         @ [ "--shard"; string_of_int w.shard ]
         @ (match journal with
           | Some j -> [ "--journal"; Shard.shard_journal j w.shard ]
           | None -> [])
         @ if fsync then [ "--fsync" ] else [])
     in
-    let pid = Unix.create_process prog argv child_in child_out Unix.stderr in
-    Unix.close child_in;
-    Unix.close child_out;
-    w.pid <- pid;
-    w.to_fd <- to_w;
-    w.oc <- Unix.out_channel_of_descr to_w;
-    w.from_fd <- from_w;
-    w.dec <- Wire.create_decoder ();
-    w.alive <- true;
+    w.proc <- Some h;
     w.inflight <- None;
     w.started <- 0.0;
     w.last_beat <- now ();
     w.respawn_at <- None;
     w.kill_mark <- None;
-    say "supervisor: shard %02d spawned (pid %d)@." w.shard pid
+    say "supervisor: shard %02d spawned (pid %d)@." w.shard (Worker.pid h)
   in
-  let send w msg =
-    try Wire.write w.oc msg with Sys_error _ | Unix.Unix_error _ -> ()
-  in
-  let dispatch (w : worker) =
+  let dispatch (w : worker) h =
     match w.queue with
     | [] -> ()
     | t :: rest ->
@@ -291,7 +263,8 @@ let run ?(shards = 2) ?hard_timeout_s ?(heartbeat_s = 10.0) ?(retries = 1)
         let t0 = now () in
         w.started <- t0;
         w.last_beat <- t0;
-        send w (Wire.Job { key = t.key; spec = t.spec })
+        (* A broken pipe surfaces as EOF on the next read. *)
+        ignore (Worker.send h (Wire.Job { key = t.key; spec = t.spec }))
   in
   let record_result key attempts outcome =
     if not (Hashtbl.mem results key) then begin
@@ -353,12 +326,12 @@ let run ?(shards = 2) ?hard_timeout_s ?(heartbeat_s = 10.0) ?(retries = 1)
                 w.inflight <- None
             | None -> ()))
   in
-  let worker_died (w : worker) =
-    let _, status = Unix.waitpid [] w.pid in
-    let reason = status_reason status in
-    (try close_out_noerr w.oc with _ -> ());
-    (try Unix.close w.from_fd with Unix.Unix_error _ -> ());
-    w.alive <- false;
+  (* The worker's pipe closed, or it spoke garbage: stop it (SIGKILL
+     before the reap, so a worker that closed its pipe but kept running
+     cannot stall the supervisor) and classify the death. *)
+  let worker_died (w : worker) h =
+    let reason = Worker.stop h in
+    w.proc <- None;
     let mark = w.kill_mark in
     w.kill_mark <- None;
     (match mark with
@@ -409,7 +382,9 @@ let run ?(shards = 2) ?hard_timeout_s ?(heartbeat_s = 10.0) ?(retries = 1)
   in
   (* Chaos self-test: SIGKILL seeded victims at result-count thresholds
      strictly inside the campaign, simulating an external killer (OOM,
-     operator) rather than our own preemption. *)
+     operator) rather than our own preemption.  A worker already marked
+     for a kill is not a candidate: until its EOF is read it still looks
+     live, and a second kill on it would count as one death. *)
   let chaos_thresholds =
     List.init chaos_kills (fun i -> max 1 ((i + 1) * n_fresh / (chaos_kills + 2)))
   in
@@ -421,14 +396,14 @@ let run ?(shards = 2) ?hard_timeout_s ?(heartbeat_s = 10.0) ?(retries = 1)
         !results_seen >= List.nth chaos_thresholds !chaos_fired
       in
       if due then begin
-        let candidates =
+        let unmarked =
           Array.to_list workers
-          |> List.filter (fun w -> w.alive && w.inflight <> None)
+          |> List.filter (fun w -> w.proc <> None && w.kill_mark = None)
         in
         let candidates =
-          if candidates = [] then
-            Array.to_list workers |> List.filter (fun w -> w.alive)
-          else candidates
+          match List.filter (fun w -> w.inflight <> None) unmarked with
+          | [] -> unmarked
+          | busy -> busy
         in
         match candidates with
         | [] -> ()
@@ -441,9 +416,12 @@ let run ?(shards = 2) ?hard_timeout_s ?(heartbeat_s = 10.0) ?(retries = 1)
             let victim = List.nth cs (min pick (List.length cs - 1)) in
             incr chaos_fired;
             victim.kill_mark <- Some Chaos;
-            say "supervisor: chaos kill %d -> shard %02d (pid %d)@."
-              !chaos_fired victim.shard victim.pid;
-            (try Unix.kill victim.pid Sys.sigkill with Unix.Unix_error _ -> ())
+            Option.iter
+              (fun h ->
+                say "supervisor: chaos kill %d -> shard %02d (pid %d)@."
+                  !chaos_fired victim.shard (Worker.pid h);
+                Worker.kill h)
+              victim.proc
       end
   in
   let handle_msg (w : worker) = function
@@ -459,32 +437,18 @@ let run ?(shards = 2) ?hard_timeout_s ?(heartbeat_s = 10.0) ?(retries = 1)
         try_chaos_kill ()
     | Wire.Job _ | Wire.Shutdown -> ()
   in
-  let buf = Bytes.create 65536 in
-  let pump (w : worker) =
-    (* [Fio.read] retries EINTR internally; any other read error on the
-       pipe is as final as EOF — the worker is gone. *)
-    match Fio.read w.from_fd buf 0 (Bytes.length buf) with
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | exception Unix.Unix_error _ -> worker_died w
-    | 0 -> worker_died w
-    | n -> (
-        Wire.feed w.dec buf ~len:n;
-        match
-          let rec drain () =
-            match Wire.next w.dec with
-            | Some m ->
-                handle_msg w m;
-                drain ()
-            | None -> ()
-          in
-          drain ()
-        with
-        | () -> ()
-        | exception Wire.Corrupt why ->
-            say "supervisor: shard %02d protocol corrupt (%s); killing@."
-              w.shard why;
-            w.kill_mark <- Some Preempt;
-            (try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ()))
+  let rec pump (w : worker) h =
+    match Worker.recv h ~timeout:0.0 with
+    | Worker.Msg m ->
+        handle_msg w m;
+        pump w h
+    | Worker.Idle -> ()
+    | Worker.Closed -> worker_died w h
+    | Worker.Corrupt why ->
+        say "supervisor: shard %02d protocol corrupt (%s); killing@." w.shard
+          why;
+        w.kill_mark <- Some Preempt;
+        worker_died w h
   in
   let tick () =
     let t = now () in
@@ -494,43 +458,46 @@ let run ?(shards = 2) ?hard_timeout_s ?(heartbeat_s = 10.0) ?(retries = 1)
         (match w.respawn_at with
         | Some at when t >= at && not w.retired -> spawn w
         | _ -> ());
-        (* Preemptive wall-clock supervision of the in-flight job: a
-           worker that stops heartbeating (a hang that never polls the
-           cooperative watchdog) or blows the hard deadline is SIGKILLed
-           — the guarantee the in-process watchdog cannot give. *)
-        (if w.alive && w.kill_mark = None then
-           match w.inflight with
-           | Some _ ->
+        (* Preemptive supervision of the in-flight job: a worker that
+           stops heartbeating (a hang that never polls the cooperative
+           watchdog) or blows the hard deadline is SIGKILLed — the
+           guarantee the in-process watchdog cannot give. *)
+        match w.proc with
+        | None -> ()
+        | Some h ->
+            (if w.kill_mark = None && w.inflight <> None then
                let silent =
                  heartbeat_s > 0.0 && t -. w.last_beat > heartbeat_s
                in
                let overdue =
                  match hard_timeout_s with
-                 | Some h -> t -. w.started > h
+                 | Some limit -> t -. w.started > limit
                  | None -> false
                in
                if silent || overdue then begin
                  w.kill_mark <- Some Preempt;
-                 say
-                   "supervisor: shard %02d wedged (%s); SIGKILL pid %d@."
+                 say "supervisor: shard %02d wedged (%s); SIGKILL pid %d@."
                    w.shard
                    (if silent then
                       Fmt.str "no heartbeat for %.1fs" (t -. w.last_beat)
                     else "hard deadline")
-                   w.pid;
-                 try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ()
-               end
-           | None -> ());
-        (* Feed idle workers. *)
-        if w.alive && w.inflight = None && w.queue <> [] then dispatch w)
+                   (Worker.pid h);
+                 Worker.kill h
+               end);
+            (* Feed idle workers. *)
+            if w.inflight = None && w.queue <> [] then dispatch w h)
       workers
   in
   (* Spawn only shards that have work: fewer tasks than shards must not
      fork idle processes. *)
   Array.iter (fun w -> if w.queue <> [] then spawn w) workers;
+  let live () =
+    Array.to_list workers
+    |> List.filter_map (fun w -> Option.map (fun h -> (w, h)) w.proc)
+  in
   let pool_gone () =
     Array.for_all
-      (fun w -> (not w.alive) && (w.retired || w.respawn_at = None))
+      (fun w -> w.proc = None && (w.retired || w.respawn_at = None))
       workers
   in
   while !resolved < n_total do
@@ -551,43 +518,13 @@ let run ?(shards = 2) ?hard_timeout_s ?(heartbeat_s = 10.0) ?(retries = 1)
         tasks
     else begin
       tick ();
-      let fds =
-        Array.to_list workers
-        |> List.filter_map (fun w -> if w.alive then Some w.from_fd else None)
-      in
-      match Unix.select fds [] [] 0.05 with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      | readable, _, _ ->
-          Array.iter
-            (fun w -> if w.alive && List.mem w.from_fd readable then pump w)
-            workers
+      let live = live () in
+      let ready = Worker.readable (List.map snd live) ~timeout:0.05 in
+      List.iter (fun (w, h) -> if List.memq h ready then pump w h) live
     end
   done;
   (* Drain the pool: ask nicely, then make sure. *)
-  Array.iter (fun w -> if w.alive then send w Wire.Shutdown) workers;
-  let deadline = now () +. 2.0 in
-  Array.iter
-    (fun w ->
-      if w.alive then begin
-        let rec reap () =
-          match Unix.waitpid [ Unix.WNOHANG ] w.pid with
-          | 0, _ ->
-              if now () > deadline then begin
-                (try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ());
-                ignore (Unix.waitpid [] w.pid)
-              end
-              else begin
-                ignore (Unix.select [] [] [] 0.01);
-                reap ()
-              end
-          | _ -> ()
-        in
-        reap ();
-        (try close_out_noerr w.oc with _ -> ());
-        (try Unix.close w.from_fd with Unix.Unix_error _ -> ());
-        w.alive <- false
-      end)
-    workers;
+  ignore (Worker.drain (List.map snd (live ())) ~timeout_s:2.0);
   ignore (Sys.signal Sys.sigpipe saved_sigpipe);
   (* Deterministic merge: shard files (plus any previous merged journal)
      under submission-key order; poison records and streamed results

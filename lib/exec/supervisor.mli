@@ -6,26 +6,30 @@
     overflow, an OOM kill or a segfault takes down the whole process and
     every in-flight result.  This module makes each shard of a campaign
     a separate {e fault domain}: the supervisor spawns N copies of the
-    current binary in a hidden worker mode, speaks length-prefixed JSONL
-    over pipes ({!Wire}), and treats worker death as one more
-    classifiable outcome.
+    current binary in a hidden worker mode ({!Worker}, the process
+    handle it shares with the serve daemon's pool), speaks
+    length-prefixed JSONL over pipes ({!Wire}), and treats worker death
+    as one more classifiable outcome.
 
     {2 Supervision tree}
 
     - {b Dealing}: tasks are dealt into contiguous deterministic chunks
       ({!Shard.deal}); each worker owns one chunk and one private
       schema-versioned journal ([<journal>.shard-NN]).
-    - {b Heartbeats + wall clock}: workers heartbeat while inside a job
-      (piggybacked on the engine's cooperative deadline polls).  A
+    - {b Heartbeats + monotonic clock}: workers heartbeat while inside a
+      job (piggybacked on the engine's cooperative deadline polls).  A
       worker silent longer than [heartbeat_s] — or in flight longer than
       [hard_timeout_s] — is SIGKILLed {e preemptively}; the in-flight
       key is retried and, past the retry budget, recorded as
-      [Worker_killed].
-    - {b Death classification}: a worker that dies on its own (signal,
-      OOM, nonzero exit) yields [Worker_lost] for its in-flight key
-      after the retry budget; completed-but-unreported work is harvested
-      from the shard journal first, so a kill between journal append and
-      result send loses nothing.
+      [Worker_killed].  Both timers, and the respawn backoff, read the
+      monotonic clock.
+    - {b Death classification}: a worker whose pipe closes — it died on
+      its own (signal, OOM, nonzero exit), or closed its stdout and kept
+      running — is stopped with {!Worker.stop} (SIGKILL, then reap, so a
+      live one cannot stall the supervisor) and yields [Worker_lost] for
+      its in-flight key after the retry budget; completed-but-unreported
+      work is harvested from the shard journal first, so a kill between
+      journal append and result send loses nothing.
     - {b Backoff}: dead workers respawn after exponential backoff with
       seeded, deterministic jitter; past [max_respawns] the worker is
       retired and its queue dealt to the survivors (graceful pool
@@ -88,7 +92,9 @@ type result = {
     bounds per-key worker deaths before the key is poisoned.
     [chaos_kills] arms the crash-chaos self-test: that many seeded
     SIGKILLs are delivered to random busy workers at deterministic
-    result-count thresholds mid-campaign.
+    result-count thresholds mid-campaign, each to a worker not already
+    marked for a kill; [stats.n_chaos_kills] counts the deaths they
+    caused.
 
     Never raises on worker failure; every task resolves to an encoded
     outcome.  @raise Invalid_argument if [shards < 1]. *)
@@ -115,11 +121,9 @@ val run :
     [Retry-After] overload hints from the same formula, so client
     backoff and worker respawn decorrelate the same way). *)
 
-(** Deterministic jitter in [0, 1): a pure hash of (seed, shard, n). *)
-val jitter01 : seed:int -> shard:int -> n:int -> float
-
 (** Exponential backoff with seeded jitter: [backoff_s * 2^(min 6 (n-1))]
-    scaled by a deterministic factor in [0.75, 1.25). *)
+    scaled by a deterministic factor in [0.75, 1.25), a pure hash of
+    (seed, shard, n). *)
 val backoff_delay : backoff_s:float -> seed:int -> shard:int -> n:int -> float
 
 (** {2 Worker side} *)

@@ -1,6 +1,9 @@
 (** Length-prefixed JSONL framing for the supervisor <-> worker pipes.
     See the interface for the frame grammar and message protocol. *)
 
+(* Stamped into every message; a peer speaking another version is
+   treated as corrupt (the supervisor and workers are always the same
+   binary, so this only fires on operator error). *)
 let protocol_version = 1
 
 type msg =

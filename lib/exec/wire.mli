@@ -11,11 +11,6 @@
     same hand-rolled codec the journals use, so worker outcomes travel
     the pipe in exactly their on-disk form. *)
 
-(** Stamped into every message; a peer speaking another version is
-    treated as corrupt (the supervisor and workers are always the same
-    binary, so this only fires on operator error). *)
-val protocol_version : int
-
 type msg =
   | Hello of { pid : int; shard : int }
       (** worker -> supervisor, once at startup *)

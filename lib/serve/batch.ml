@@ -39,7 +39,7 @@ type config = {
 type t = {
   cfg : config;
   pool : Exec.Pool.t;
-  images : Imagecache.t;
+  images : Sim.Engine.image Cache.t;
   m : Mutex.t;
   mutable in_flight : int;
   mutable runs : int;
@@ -55,7 +55,9 @@ let create cfg =
   {
     cfg;
     pool = Exec.Pool.create ~jobs:cfg.domains;
-    images = Imagecache.create ~max_bytes:cfg.image_cache_bytes;
+    images =
+      Cache.create ~max_weight:cfg.image_cache_bytes
+        ~weight:Sim.Engine.image_bytes;
     m = Mutex.create ();
     in_flight = 0;
     runs = 0;
@@ -80,7 +82,7 @@ let admit t ~sanitize ~deadline_left_s key =
   locked t (fun () ->
       if t.closing then Run_worker
       else begin
-        let image = Imagecache.lookup t.images key in
+        let image = Cache.lookup t.images key in
         let tier =
           tier_of ~warm:(image <> None) ~sanitize ~deadline_left_s
             ~long_deadline_s:t.cfg.long_deadline_s ~queue:t.in_flight
@@ -133,19 +135,19 @@ let run t ?poll_every ~deadline_at image (job : Api.job) : J.t Outcome.t =
     proved out end to end. *)
 let prime t (job : Api.job) =
   let key = Api.circuit_digest job in
-  match Imagecache.admit t.images key with
-  | Imagecache.Hit _ | Imagecache.Join -> ()
-  | Imagecache.Lead -> (
+  match Cache.admit t.images key with
+  | Cache.Hit _ | Cache.Join -> ()
+  | Cache.Lead -> (
       match Job.compile job with
       | Ok graph ->
           let image = Sim.Engine.image graph in
-          Imagecache.fulfill t.images key image;
+          Cache.fulfill t.images key image;
           locked t (fun () -> t.primes <- t.primes + 1)
       | Error _ ->
-          Imagecache.abandon t.images key;
+          Cache.abandon t.images key;
           locked t (fun () -> t.prime_failures <- t.prime_failures + 1)
       | exception _ ->
-          Imagecache.abandon t.images key;
+          Cache.abandon t.images key;
           locked t (fun () -> t.prime_failures <- t.prime_failures + 1))
 
 type counters = {

@@ -38,7 +38,8 @@ type config = {
   domains : int;            (** pool domains, >= 1 *)
   watermark : int;          (** max batch jobs in flight before spilling
                                 to the worker tier, >= 1 *)
-  image_cache_bytes : int;  (** {!Imagecache.create} byte budget *)
+  image_cache_bytes : int;  (** image cache bound, in
+                                {!Sim.Engine.image_bytes} *)
   long_deadline_s : float;  (** routing threshold: jobs with more
                                 remaining deadline than this stay on the
                                 preemptible worker tier *)
@@ -49,7 +50,7 @@ type t
 val create : config -> t
 
 (** The tier's image cache (for stats and tests). *)
-val images : t -> Imagecache.t
+val images : t -> Sim.Engine.image Cache.t
 
 (** Batch jobs currently in flight. *)
 val in_flight : t -> int

@@ -1,23 +1,35 @@
-type entry = Pending | Ready of Exec.Jsonl.t
+(** Single-flight weighted LRU cache; see the interface. *)
 
-type t = {
+type 'a ready = {
+  value : 'a;
+  weight : int;
+  mutable used : int;  (** tick of the last use, for LRU eviction *)
+}
+
+type 'a entry = Pending | Ready of 'a ready
+
+type 'a t = {
   m : Mutex.t;
-  tbl : (string, entry) Hashtbl.t;
-  order : string Queue.t;  (** completed keys, insertion order *)
-  capacity : int;
+  tbl : (string, 'a entry) Hashtbl.t;
+  max_weight : int;
+  weigh : 'a -> int;
+  mutable weight : int;  (** sum of Ready entry weights *)
+  mutable tick : int;
   mutable hits : int;
   mutable misses : int;
   mutable joins : int;
   mutable evictions : int;
 }
 
-let create ~capacity =
-  if capacity < 1 then invalid_arg "Cache.create: capacity < 1";
+let create ~max_weight ~weight =
+  if max_weight < 1 then invalid_arg "Cache.create: max_weight < 1";
   {
     m = Mutex.create ();
     tbl = Hashtbl.create 64;
-    order = Queue.create ();
-    capacity;
+    max_weight;
+    weigh = weight;
+    weight = 0;
+    tick = 0;
     hits = 0;
     misses = 0;
     joins = 0;
@@ -28,14 +40,18 @@ let locked t f =
   Mutex.lock t.m;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.m) f
 
-type admission = Hit of Exec.Jsonl.t | Lead | Join
+let use t r =
+  t.hits <- t.hits + 1;
+  t.tick <- t.tick + 1;
+  r.used <- t.tick;
+  r.value
+
+type 'a admission = Hit of 'a | Lead | Join
 
 let admit t key =
   locked t (fun () ->
       match Hashtbl.find_opt t.tbl key with
-      | Some (Ready v) ->
-          t.hits <- t.hits + 1;
-          Hit v
+      | Some (Ready r) -> Hit (use t r)
       | Some Pending ->
           t.joins <- t.joins + 1;
           Join
@@ -44,26 +60,51 @@ let admit t key =
           Hashtbl.replace t.tbl key Pending;
           Lead)
 
-(** Evict oldest completed entries past capacity.  Pending entries are
-    not in [order] and so never evicted out from under their joiners. *)
-let evict_over_capacity t =
-  while Queue.length t.order > t.capacity do
-    let victim = Queue.pop t.order in
-    (match Hashtbl.find_opt t.tbl victim with
-    | Some (Ready _) ->
-        Hashtbl.remove t.tbl victim;
-        t.evictions <- t.evictions + 1
-    | Some Pending | None ->
-        (* Re-led after an abandon: the key re-enters [order] on its
-           next fulfill; dropping this stale ticket is correct. *)
-        ())
-  done
-
-let fulfill t key v =
+let lookup t key =
   locked t (fun () ->
-      Hashtbl.replace t.tbl key (Ready v);
-      Queue.push key t.order;
-      evict_over_capacity t)
+      match Hashtbl.find_opt t.tbl key with
+      | Some (Ready r) -> Some (use t r)
+      | Some Pending | None ->
+          t.misses <- t.misses + 1;
+          None)
+
+(* Evict least recently used Ready entries until the weight fits, never
+   [keep] (the key just filled) nor a Pending entry (joiners wait on
+   it).  One O(entries) scan per victim: the daemon's caches hold a few
+   hundred entries, not millions. *)
+let evict_over_weight t ~keep =
+  let rec go () =
+    if t.weight > t.max_weight then begin
+      let victim =
+        Hashtbl.fold
+          (fun k e best ->
+            match (e, best) with
+            | Ready r, Some (_, used, _) when r.used >= used -> best
+            | Ready r, _ when k <> keep -> Some (k, r.used, r.weight)
+            | _ -> best)
+          t.tbl None
+      in
+      match victim with
+      | None -> ()
+      | Some (k, _, w) ->
+          Hashtbl.remove t.tbl k;
+          t.weight <- t.weight - w;
+          t.evictions <- t.evictions + 1;
+          go ()
+    end
+  in
+  go ()
+
+let fulfill t key value =
+  let weight = t.weigh value in
+  locked t (fun () ->
+      (match Hashtbl.find_opt t.tbl key with
+      | Some (Ready old) -> t.weight <- t.weight - old.weight
+      | Some Pending | None -> ());
+      t.tick <- t.tick + 1;
+      Hashtbl.replace t.tbl key (Ready { value; weight; used = t.tick });
+      t.weight <- t.weight + weight;
+      evict_over_weight t ~keep:key)
 
 let abandon t key =
   locked t (fun () ->
@@ -74,10 +115,26 @@ let abandon t key =
 let peek t key =
   locked t (fun () ->
       match Hashtbl.find_opt t.tbl key with
-      | Some (Ready v) -> `Ready v
+      | Some (Ready r) -> `Ready r.value
       | Some Pending -> `Pending
       | None -> `Absent)
 
+type counters = {
+  hits : int;
+  misses : int;
+  joins : int;
+  evictions : int;
+  entries : int;
+  weight : int;
+}
+
 let stats t =
   locked t (fun () ->
-      (t.hits, t.misses, t.joins, t.evictions, Hashtbl.length t.tbl))
+      {
+        hits = t.hits;
+        misses = t.misses;
+        joins = t.joins;
+        evictions = t.evictions;
+        entries = Hashtbl.length t.tbl;
+        weight = t.weight;
+      })

@@ -1,37 +1,62 @@
-(** Content-hash result cache with single-flight deduplication.
+(** Single-flight cache bounded by weight, least recently used out
+    first.  The daemon keeps two: results keyed by {!Api.digest} (each
+    weighs 1, so the bound is an entry count) and compiled
+    {!Sim.Engine.image}s keyed by {!Api.circuit_digest} (each weighs
+    {!Sim.Engine.image_bytes}: images vary by orders of magnitude).
 
-    Keyed by {!Api.digest} of the canonical job encoding.  When several
-    requests for the same digest arrive together, exactly one leads (runs
-    the job); the rest join and wait for the leader's result.  A leader
-    whose outcome is transient — worker lost, timeout — {e abandons} the
-    entry instead of caching it: joiners observe the abandonment and
-    re-admit, so a crash poisons nobody else's cache line and the next
-    request simply retries.
+    When several callers want the same key together, exactly one leads
+    (computes the value); the rest join and poll {!peek} under their
+    own deadlines (stdlib [Condition] has no timed wait).  A leader
+    whose outcome is transient — worker lost, timeout, a failed compile
+    — {e abandons} the entry instead of filling it: joiners observe
+    [`Absent] and re-admit, so a crash poisons nobody else's entry and
+    the next request simply retries.
 
-    Thread-safe.  Joiners wait by polling {!peek} (stdlib [Condition]
-    has no timed wait and every joiner carries its own deadline);
-    capacity eviction is FIFO over completed entries. *)
+    Eviction drops the least recently used completed entries until the
+    resident weight fits the bound.  {!admit} hits and {!lookup} hits
+    count as uses; {!peek} does not.  Pending entries and the key just
+    filled are never evicted (so one value heavier than the whole bound
+    still lands).  Thread-safe. *)
 
-type t
+type 'a t
 
-val create : capacity:int -> t
+(** @raise Invalid_argument if [max_weight < 1]. *)
+val create : max_weight:int -> weight:('a -> int) -> 'a t
 
-type admission =
-  | Hit of Exec.Jsonl.t  (** cached value, returned immediately *)
-  | Lead                 (** this caller runs the job and must
-                             {!fulfill} or {!abandon} *)
-  | Join                 (** another caller is leading; poll {!peek} *)
+type 'a admission =
+  | Hit of 'a  (** cached value, returned immediately *)
+  | Lead       (** this caller computes the value and must {!fulfill}
+                   or {!abandon} *)
+  | Join       (** another caller is leading; poll {!peek} *)
 
-val admit : t -> string -> admission
+val admit : 'a t -> string -> 'a admission
 
-(** Store the leader's value and wake joiners. *)
-val fulfill : t -> string -> Exec.Jsonl.t -> unit
+(** Counting, non-leading probe — the batch tier's routing check.  A
+    ready value counts a hit; otherwise (absent, or still being
+    computed) a miss, and, unlike {!admit}, no Pending entry is planted:
+    routing a request must not make the next request believe a compile
+    is in flight. *)
+val lookup : 'a t -> string -> 'a option
+
+(** Store the leader's value and wake joiners; evicts past the bound. *)
+val fulfill : 'a t -> string -> 'a -> unit
 
 (** Drop the pending entry (transient outcome): joiners see [`Absent]
     and re-admit. *)
-val abandon : t -> string -> unit
+val abandon : 'a t -> string -> unit
 
-val peek : t -> string -> [ `Ready of Exec.Jsonl.t | `Pending | `Absent ]
+(** Non-counting probe; not a use. *)
+val peek : 'a t -> string -> [ `Ready of 'a | `Pending | `Absent ]
 
-(** (hits, misses, joins, evictions, live entries). *)
-val stats : t -> int * int * int * int * int
+type counters = {
+  hits : int;
+  misses : int;     (** admits and lookups that found no ready value *)
+  joins : int;
+  evictions : int;
+  entries : int;    (** resident entries, Pending included *)
+  weight : int;     (** resident weight of the ready entries; within the
+                        bound after every fulfill unless one value
+                        outweighs it alone *)
+}
+
+val stats : 'a t -> counters

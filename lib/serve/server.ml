@@ -77,7 +77,7 @@ type t = {
   pool : Workers.t;
   batch : Batch.t option;  (** in-process tier; [None] = disabled *)
   stream : Statstream.t;
-  cache : Cache.t;
+  cache : J.t Cache.t;  (** results; each weighs 1 *)
   m : Mutex.t;  (** tenants, counters, seq *)
   tenants : (string, tenant) Hashtbl.t;
   codes : (string, int) Hashtbl.t;  (** API code -> responses sent *)
@@ -166,7 +166,7 @@ let create cfg =
         ~heartbeat_s:cfg.heartbeat_s ~grace_s:cfg.grace_s ~n:cfg.workers;
     batch;
     stream = Statstream.create ~capacity:(max 1 cfg.stream_history);
-    cache = Cache.create ~capacity:cfg.cache_capacity;
+    cache = Cache.create ~max_weight:cfg.cache_capacity ~weight:(fun _ -> 1);
     m = Mutex.create ();
     tenants = Hashtbl.create 16;
     codes = Hashtbl.create 16;
@@ -521,8 +521,16 @@ let submit t fd (req : Http.request) =
 (* ------------------------------------------------------------------ *)
 (* Stats *)
 
+let cache_fields (c : Cache.counters) =
+  [
+    ("hits", J.Int c.hits);
+    ("misses", J.Int c.misses);
+    ("joins", J.Int c.joins);
+    ("evictions", J.Int c.evictions);
+    ("entries", J.Int c.entries);
+  ]
+
 let stats_json t =
-  let hits, misses, joins, evictions, entries = Cache.stats t.cache in
   let spawns, respawns, lost, killed, jobs = Workers.stats t.pool in
   let codes, received, shed, conns, waiting, stopping =
     locked t (fun () ->
@@ -543,15 +551,7 @@ let stats_json t =
       ("conns", J.Int conns);
       ("waiting", J.Int waiting);
       ("codes", J.Obj codes);
-      ( "cache",
-        J.Obj
-          [
-            ("hits", J.Int hits);
-            ("misses", J.Int misses);
-            ("joins", J.Int joins);
-            ("evictions", J.Int evictions);
-            ("entries", J.Int entries);
-          ] );
+      ("cache", J.Obj (cache_fields (Cache.stats t.cache)));
       ( "workers",
         J.Obj
           [
@@ -583,17 +583,10 @@ let stats_json t =
         match t.batch with
         | None -> J.Obj [ ("enabled", J.Bool false) ]
         | Some b ->
-            let ic = Imagecache.stats (Batch.images b) in
+            let ic = Cache.stats (Batch.images b) in
             J.Obj
-              [
-                ("enabled", J.Bool true);
-                ("hits", J.Int ic.Imagecache.hits);
-                ("misses", J.Int ic.Imagecache.misses);
-                ("joins", J.Int ic.Imagecache.joins);
-                ("evictions", J.Int ic.Imagecache.evictions);
-                ("entries", J.Int ic.Imagecache.entries);
-                ("bytes", J.Int ic.Imagecache.bytes);
-              ] );
+              ((("enabled", J.Bool true) :: cache_fields ic)
+              @ [ ("bytes", J.Int ic.weight) ]) );
       ("journal_duplicates", J.Int t.journal_dups);
       ("journal_errors", J.Int (locked t (fun () -> t.n_journal_errors)));
       ("journal_degraded", J.Bool (locked t (fun () -> t.journal_degraded)));
@@ -609,7 +602,7 @@ let stream_sample t =
     locked t (fun () ->
         (t.conns, t.waiting, t.n_received, t.n_shed, t.n_journal_errors))
   in
-  let ch, cm, _, _, _ = Cache.stats t.cache in
+  let rc = Cache.stats t.cache in
   let _, _, _, _, wjobs = Workers.stats t.pool in
   let rate h m =
     if h + m = 0 then 0.0 else float_of_int h /. float_of_int (h + m)
@@ -625,12 +618,12 @@ let stream_sample t =
         ]
     | Some b ->
         let s = Batch.stats b in
-        let ic = Imagecache.stats (Batch.images b) in
+        let ic = Cache.stats (Batch.images b) in
         [
           ("batch_in_flight", J.Int s.Batch.in_flight_now);
           ("batch_runs", J.Int s.Batch.runs);
           ("batch_spills", J.Int s.Batch.spills);
-          ("image_hit_rate", J.Float (rate ic.Imagecache.hits ic.Imagecache.misses));
+          ("image_hit_rate", J.Float (rate ic.Cache.hits ic.Cache.misses));
         ]
   in
   J.Obj
@@ -642,7 +635,7 @@ let stream_sample t =
        ("received", J.Int received);
        ("shed", J.Int shed);
        ("worker_jobs", J.Int wjobs);
-       ("result_hit_rate", J.Float (rate ch cm));
+       ("result_hit_rate", J.Float (rate rc.Cache.hits rc.Cache.misses));
        ("journal_errors", J.Int jerrs);
      ]
     @ batch_fields)

@@ -6,13 +6,13 @@
     Accept -> deadline-bounded header/body read ({!Http.read_request})
     -> route -> job decode ({!Api.job_of_json}) -> admission (drain
     check, request deadline, per-tenant token buckets, queue watermark)
-    -> content-hash cache ({!Cache}, single-flight) -> tier routing
+    -> content-hash result cache ({!Cache}, single-flight) -> tier routing
     ({!Batch.admit}: cache-warm, unmonitored, short-deadline jobs run in
     process over a compiled {!Sim.Engine.image}; everything else
     dispatches onto a borrowed {!Workers} slot) -> outcome mapped to
     HTTP via {!Api.status_of_outcome} -> journal append -> respond.
-    After a worker-tier success the server primes the
-    {!Imagecache} in process, so repeat circuits graduate to the batch
+    After a worker-tier success the server primes the batch tier's
+    image {!Cache} in process, so repeat circuits graduate to the batch
     tier.  [/v1/stats/stream] tails a bounded ring of per-second
     aggregates ({!Statstream}) down a chunked response.
 
@@ -45,7 +45,7 @@ type config = {
   workers : int;              (** worker process pool size *)
   max_conns : int;            (** concurrent connection threads *)
   queue_depth : int;          (** dispatch-wait watermark before 429 *)
-  cache_capacity : int;
+  cache_capacity : int;       (** result cache bound, in entries *)
   req_rate : float;           (** per-tenant requests/second *)
   req_burst : float;
   fuel_rate : float;          (** per-tenant simulation cycles/second *)
@@ -95,11 +95,6 @@ val run : t -> drain
 
 (** Ask the accept loop to begin draining (idempotent, thread-safe). *)
 val request_stop : t -> unit
-
-(** Live snapshot: counters per API code, cache and worker stats,
-    queue depth, uptime, journal duplicate count — the [/v1/stats]
-    response body. *)
-val stats_json : t -> Exec.Jsonl.t
 
 (** Live worker pids (the chaos harness SIGKILLs one). *)
 val worker_pids : t -> int list

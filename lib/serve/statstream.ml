@@ -31,7 +31,6 @@ let push t sample =
 
 let close t = locked t (fun () -> t.closed <- true)
 
-let next_seq t = locked t (fun () -> t.next)
 
 let read_from t ~seq =
   locked t (fun () ->

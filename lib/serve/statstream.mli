@@ -23,9 +23,6 @@ val push : t -> Exec.Jsonl.t -> unit
     terminate their chunked responses. *)
 val close : t -> unit
 
-(** Sequence number the next {!push} will get. *)
-val next_seq : t -> int
-
 (** [read_from t ~seq] returns [(next, samples, closed)]: every retained
     sample with sequence >= [seq], the cursor to pass next time, and
     whether the stream is closed.  Never blocks. *)

@@ -2,20 +2,20 @@
 
     The batch {!Exec.Supervisor} deals a fixed task list to short-lived
     shards; a daemon instead needs N {e long-lived} worker processes
-    that requests borrow one at a time.  This pool reuses the same
-    machinery — workers are the same binary in [__worker] mode, frames
-    travel the same {!Exec.Wire} protocol, death maps to the same
-    taxonomy — but inverts the control flow: the connection thread that
-    owns a request acquires a slot, runs exactly one job on it
-    synchronously (watching heartbeats and the request deadline), and
-    releases it.  A worker SIGKILLed or crashed mid-job therefore costs
-    exactly that request ([Worker_lost] / 503).
+    that requests borrow one at a time.  Both pools hold their processes
+    through the same handle, {!Exec.Worker} — workers are the same
+    binary in [__worker] mode, frames travel the same {!Exec.Wire}
+    protocol, death maps to the same taxonomy — but this pool inverts
+    the control flow: the connection thread that owns a request acquires
+    a slot, runs exactly one job on it synchronously (watching heartbeats
+    and the request deadline), and releases it.  A worker SIGKILLed or
+    crashed mid-job therefore costs exactly that request
+    ([Worker_lost] / 503).
 
-    Loss is prompt by contract: on pipe-EOF (or a broken write/corrupt
-    frame) the dead pid is SIGKILLed {e before} being reaped — never a
-    bare blocking [waitpid], which a wedged-but-alive worker with a
-    closed stdout could stall for the whole deadline+grace window while
-    the slot stayed borrowed — the slot's replacement worker is respawned
+    Loss is prompt: on pipe EOF, a broken write or a corrupt frame the
+    slot's process is stopped with {!Exec.Worker.stop}, which SIGKILLs
+    before it reaps — a wedged-but-alive worker with a closed stdout
+    cannot keep the slot borrowed — the replacement worker is respawned
     eagerly on the loss path, and the slot is released immediately, so
     the next job is admitted without waiting on any grace timer.
 
@@ -59,7 +59,8 @@ val pids : t -> int list
 (** (spawns, respawns, lost, killed, jobs run). *)
 val stats : t -> int * int * int * int * int
 
-(** Drain: send [Shutdown] to every live worker, wait up to
-    [timeout_s], SIGKILL stragglers, reap everything.  Returns the
-    number of workers still alive afterwards (0 on a clean drain). *)
+(** Drain ({!Exec.Worker.drain}): send [Shutdown] to every live worker,
+    wait up to [timeout_s], SIGKILL stragglers, reap everything.
+    Returns the number of workers still running at the timeout (0 on a
+    clean drain). *)
 val shutdown : t -> timeout_s:float -> int

@@ -219,11 +219,18 @@ let test_committed_repros () =
 
 let test_decoder_rejects_bad_sizes () =
   (* [circuit {|{"k":"fork","outputs":-1,"lazy":false}|}] is the input
-     that once raised [Invalid_argument "Array.make"]. *)
-  let circuit ?(memories = "[]") kind =
+     that once raised [Invalid_argument "Array.make"]; with
+     [outputs = 100000000] the same 157 bytes once decoded into an
+     800 MB heap. *)
+  let unit kind =
     Fmt.str
-      {|{"units":[{"kind":%s,"label":"f","bb":0,"loop":0,"loop_header":false,"pinned":false}],"channels":[],"memories":%s}|}
-      kind memories
+      {|{"kind":%s,"label":"f","bb":0,"loop":0,"loop_header":false,"pinned":false}|}
+      kind
+  in
+  let circuit ?(more = []) ?(channels = "[]") ?(memories = "[]") kind =
+    Fmt.str {|{"units":[%s],"channels":%s,"memories":%s}|}
+      (String.concat "," (List.map unit (kind :: more)))
+      channels memories
   in
   let decodes text =
     match Exec.Jsonl.parse text with
@@ -235,8 +242,20 @@ let test_decoder_rejects_bad_sizes () =
             Alcotest.failf "graph_of_json raised %s on %s" (Printexc.to_string e)
               text)
   in
+  (* A fork whose two outputs feed two sinks: as many ports as channels. *)
+  let sink = {|{"k":"sink"}|} in
+  let two_channels =
+    {|[{"src":[0,0],"dst":[1,0]},{"src":[0,1],"dst":[2,0]}]|}
+  in
   checkb "a well-formed fork decodes"
-    (decodes (circuit {|{"k":"fork","outputs":2,"lazy":false}|}));
+    (decodes
+       (circuit ~more:[ sink; sink ] ~channels:two_channels
+          {|{"k":"fork","outputs":2,"lazy":false}|}));
+  checkb "more fork outputs than channels"
+    (not
+       (decodes
+          (circuit ~more:[ sink; sink ] ~channels:two_channels
+             {|{"k":"fork","outputs":3,"lazy":false}|})));
   List.iter
     (fun kind -> checkb kind (not (decodes (circuit kind))))
     [
@@ -248,6 +267,7 @@ let test_decoder_rejects_bad_sizes () =
       {|{"k":"buffer","slots":-1,"transparent":false,"narrow":false,"init":[]}|};
       {|{"k":"op","op":"fadd","latency":4,"ports":-2}|};
       {|{"k":"fork","outputs":4611686018427387903,"lazy":false}|};
+      {|{"k":"fork","outputs":100000000,"lazy":false}|};
     ];
   checkb "negative memory size"
     (not

@@ -247,8 +247,11 @@ let test_bucket () =
 (* ------------------------------------------------------------------ *)
 (* Cache: single-flight, abandonment, eviction                         *)
 
+(** The daemon's result cache: every value weighs 1. *)
+let result_cache n = Serve.Cache.create ~max_weight:n ~weight:(fun _ -> 1)
+
 let test_cache_single_flight () =
-  let c = Serve.Cache.create ~capacity:8 in
+  let c = result_cache 8 in
   (match Serve.Cache.admit c "k" with
   | Serve.Cache.Lead -> ()
   | _ -> Alcotest.fail "first caller must lead");
@@ -264,7 +267,7 @@ let test_cache_single_flight () =
   | _ -> Alcotest.fail "peek must see the value")
 
 let test_cache_abandon () =
-  let c = Serve.Cache.create ~capacity:8 in
+  let c = result_cache 8 in
   (match Serve.Cache.admit c "k" with
   | Serve.Cache.Lead -> ()
   | _ -> Alcotest.fail "lead");
@@ -280,7 +283,7 @@ let test_cache_abandon () =
   | _ -> Alcotest.fail "abandoned key must re-lead"
 
 let test_cache_eviction () =
-  let c = Serve.Cache.create ~capacity:2 in
+  let c = result_cache 2 in
   let fill k =
     (match Serve.Cache.admit c k with
     | Serve.Cache.Lead -> ()
@@ -290,16 +293,28 @@ let test_cache_eviction () =
   fill "a";
   fill "b";
   fill "c";
-  let _, _, _, evictions, live = Serve.Cache.stats c in
-  checki "live entries" 2 live;
-  checki "evictions" 1 evictions;
-  (* FIFO: the oldest completed entry went first. *)
+  let s = Serve.Cache.stats c in
+  checki "live entries" 2 s.Serve.Cache.entries;
+  checki "evictions" 1 s.Serve.Cache.evictions;
+  (* Never used since it was filled, the oldest entry went first. *)
   (match Serve.Cache.peek c "a" with
   | `Absent -> ()
   | _ -> Alcotest.fail "oldest entry must be evicted");
-  match Serve.Cache.peek c "c" with
+  (match Serve.Cache.peek c "c" with
   | `Ready _ -> ()
-  | _ -> Alcotest.fail "newest entry must survive"
+  | _ -> Alcotest.fail "newest entry must survive");
+  (* A hit is a use: the least recently used entry goes next, not the
+     oldest. *)
+  (match Serve.Cache.admit c "b" with
+  | Serve.Cache.Hit (J.String "b") -> ()
+  | _ -> Alcotest.fail "resident entry must hit");
+  fill "d";
+  (match Serve.Cache.peek c "c" with
+  | `Absent -> ()
+  | _ -> Alcotest.fail "least recently used entry must be evicted");
+  match Serve.Cache.peek c "b" with
+  | `Ready _ -> ()
+  | _ -> Alcotest.fail "recently hit entry must survive"
 
 (* ------------------------------------------------------------------ *)
 (* Digest split: the circuit half keys the image cache                 *)
@@ -338,59 +353,63 @@ let test_digest_split () =
 (* ------------------------------------------------------------------ *)
 (* Image cache: single-flight, abandonment, byte-bounded LRU           *)
 
+(** The batch tier's image cache: every image weighs its bytes. *)
+let image_cache max_bytes =
+  Serve.Cache.create ~max_weight:max_bytes ~weight:Sim.Engine.image_bytes
+
 let compile_image job =
   match Serve.Job.compile job with
   | Ok g -> Sim.Engine.image g
   | Error _ -> Alcotest.fail "image compile failed"
 
 let test_imagecache_single_flight () =
-  let c = Serve.Imagecache.create ~max_bytes:(64 * 1024 * 1024) in
-  (match Serve.Imagecache.admit c "k" with
-  | Serve.Imagecache.Lead -> ()
+  let c = image_cache (64 * 1024 * 1024) in
+  (match Serve.Cache.admit c "k" with
+  | Serve.Cache.Lead -> ()
   | _ -> Alcotest.fail "first caller must lead");
-  (match Serve.Imagecache.admit c "k" with
-  | Serve.Imagecache.Join -> ()
+  (match Serve.Cache.admit c "k" with
+  | Serve.Cache.Join -> ()
   | _ -> Alcotest.fail "second caller must join");
   (* A routing probe must not see the pending compile as warm, and must
      not plant a Pending entry of its own. *)
-  (match Serve.Imagecache.lookup c "k" with
+  (match Serve.Cache.lookup c "k" with
   | None -> ()
   | Some _ -> Alcotest.fail "pending compile must not read as warm");
-  (match Serve.Imagecache.lookup c "other" with
+  (match Serve.Cache.lookup c "other" with
   | None -> ()
   | Some _ -> Alcotest.fail "absent key must miss");
-  (match Serve.Imagecache.peek c "other" with
+  (match Serve.Cache.peek c "other" with
   | `Absent -> ()
   | _ -> Alcotest.fail "lookup must not insert pending entries");
   let img = compile_image (mk_job ()) in
-  Serve.Imagecache.fulfill c "k" img;
-  (match Serve.Imagecache.admit c "k" with
-  | Serve.Imagecache.Hit _ -> ()
+  Serve.Cache.fulfill c "k" img;
+  (match Serve.Cache.admit c "k" with
+  | Serve.Cache.Hit _ -> ()
   | _ -> Alcotest.fail "fulfilled entry must hit");
-  (match Serve.Imagecache.peek c "k" with
+  (match Serve.Cache.peek c "k" with
   | `Ready _ -> ()
   | _ -> Alcotest.fail "peek must see the image");
-  let s = Serve.Imagecache.stats c in
-  checkb "hit counted" true (s.Serve.Imagecache.hits >= 1);
-  checkb "join counted" true (s.Serve.Imagecache.joins >= 1);
-  checki "resident entries" 1 s.Serve.Imagecache.entries;
+  let s = Serve.Cache.stats c in
+  checkb "hit counted" true (s.Serve.Cache.hits >= 1);
+  checkb "join counted" true (s.Serve.Cache.joins >= 1);
+  checki "resident entries" 1 s.Serve.Cache.entries;
   checki "resident bytes" (Sim.Engine.image_bytes img)
-    s.Serve.Imagecache.bytes
+    s.Serve.Cache.weight
 
 let test_imagecache_abandon () =
-  let c = Serve.Imagecache.create ~max_bytes:1024 in
-  (match Serve.Imagecache.admit c "k" with
-  | Serve.Imagecache.Lead -> ()
+  let c = image_cache 1024 in
+  (match Serve.Cache.admit c "k" with
+  | Serve.Cache.Lead -> ()
   | _ -> Alcotest.fail "lead");
-  ignore (Serve.Imagecache.admit c "k");
-  Serve.Imagecache.abandon c "k";
+  ignore (Serve.Cache.admit c "k");
+  Serve.Cache.abandon c "k";
   (* A transiently failed compile poisons nothing: joiners observe the
      abandonment and the next admit re-leads. *)
-  (match Serve.Imagecache.peek c "k" with
+  (match Serve.Cache.peek c "k" with
   | `Absent -> ()
   | _ -> Alcotest.fail "abandoned entry must be absent");
-  match Serve.Imagecache.admit c "k" with
-  | Serve.Imagecache.Lead -> ()
+  match Serve.Cache.admit c "k" with
+  | Serve.Cache.Lead -> ()
   | _ -> Alcotest.fail "abandoned key must re-lead"
 
 let test_imagecache_eviction () =
@@ -400,30 +419,30 @@ let test_imagecache_eviction () =
   let bytes = Sim.Engine.image_bytes in
   (* All three cannot be resident at once; any two can. *)
   let budget = bytes ia + bytes ib + bytes ic - 1 in
-  let c = Serve.Imagecache.create ~max_bytes:budget in
+  let c = image_cache budget in
   let fill k img =
-    (match Serve.Imagecache.admit c k with
-    | Serve.Imagecache.Lead -> ()
+    (match Serve.Cache.admit c k with
+    | Serve.Cache.Lead -> ()
     | _ -> Alcotest.fail "lead");
-    Serve.Imagecache.fulfill c k img
+    Serve.Cache.fulfill c k img
   in
   fill "a" ia;
   fill "b" ib;
   (* Touch [a]: [b] becomes least-recently-used. *)
-  (match Serve.Imagecache.lookup c "a" with
+  (match Serve.Cache.lookup c "a" with
   | Some _ -> ()
   | None -> Alcotest.fail "resident image must hit");
   fill "c" ic;
-  let s = Serve.Imagecache.stats c in
-  checkb "eviction happened" true (s.Serve.Imagecache.evictions >= 1);
-  checkb "bytes within budget" true (s.Serve.Imagecache.bytes <= budget);
-  (match Serve.Imagecache.peek c "b" with
+  let s = Serve.Cache.stats c in
+  checkb "eviction happened" true (s.Serve.Cache.evictions >= 1);
+  checkb "bytes within budget" true (s.Serve.Cache.weight <= budget);
+  (match Serve.Cache.peek c "b" with
   | `Absent -> ()
   | _ -> Alcotest.fail "least-recently-touched entry must be evicted");
-  (match Serve.Imagecache.peek c "c" with
+  (match Serve.Cache.peek c "c" with
   | `Ready _ -> ()
   | _ -> Alcotest.fail "just-fulfilled image must never be the victim");
-  match Serve.Imagecache.peek c "a" with
+  match Serve.Cache.peek c "a" with
   | `Ready _ -> ()
   | _ -> Alcotest.fail "recently-touched image must survive"
 

@@ -41,6 +41,21 @@ let worker_run _opts ~ctx spec =
   | "exit" ->
       (* Die out from under the job, as a segfault or OOM kill would. *)
       exit (Option.value ~default:3 (spec_field "code" spec))
+  | "close-pipe" ->
+      (* Close every fd above 2 — the protocol pipe among them — and keep
+         running: the parent reads EOF from a process that is still
+         alive.  On Unix a [Unix.file_descr] is the fd number. *)
+      Array.iter
+        (fun name ->
+          match int_of_string_opt name with
+          | Some fd when fd > 2 -> (
+              try Unix.close (Obj.magic fd : Unix.file_descr)
+              with Unix.Unix_error _ -> ())
+          | _ -> ())
+        (Sys.readdir "/proc/self/fd");
+      let sleep_ms = Option.value ~default:0 (spec_field "sleep_ms" spec) in
+      Unix.sleepf (float_of_int sleep_ms /. 1000.);
+      (Exec.Outcome.to_json (fun v -> J.Int v) (Exec.Outcome.Ok 0), 1)
   | "sum" ->
       let n = Option.value ~default:0 (spec_field "n" spec) in
       let sleep_ms = Option.value ~default:0 (spec_field "sleep_ms" spec) in
@@ -537,6 +552,61 @@ let test_e2e_hang_preempted_by_heartbeat () =
           | _ -> Alcotest.fail "expected Worker_killed payload")
       | _ -> Alcotest.fail "expected exactly one outcome")
 
+(* A worker that closes its protocol pipe but keeps running must be
+   classified as lost at once, not after its sleep: both pools stop a
+   worker by SIGKILL before they reap it. *)
+let close_pipe_spec =
+  J.Obj [ ("op", J.String "close-pipe"); ("sleep_ms", J.Int 30_000) ]
+
+let test_e2e_closed_pipe_lost_promptly () =
+  with_temp_journal (fun journal ->
+      let tasks =
+        [ { Exec.Supervisor.key = "close-pipe"; spec = close_pipe_spec } ]
+      in
+      let t0 = Unix.gettimeofday () in
+      let r =
+        Exec.Supervisor.run ~shards:1 ~retries:0 ~heartbeat_s:0.3
+          ~backoff_s:0.05 ~max_respawns:1 ~journal ~worker_args ~tasks ()
+      in
+      let dt = Unix.gettimeofday () -. t0 in
+      Alcotest.(check (list string))
+        "classes" [ "worker-lost" ] (outcome_classes r);
+      checkb
+        (Fmt.str "classified in %.1fs, not after the 30 s sleep" dt)
+        (dt < 5.0))
+
+let test_workers_closed_pipe_lost_promptly () =
+  let w =
+    Serve.Workers.create ~binary:Sys.executable_name ~argv_tail:worker_args
+      ~heartbeat_s:0.0 ~grace_s:60.0 ~n:1
+  in
+  Fun.protect
+    ~finally:(fun () -> ignore (Serve.Workers.shutdown w ~timeout_s:5.0))
+    (fun () ->
+      let deadline = Unix.gettimeofday () +. 60.0 in
+      let run key spec =
+        match Serve.Workers.acquire w ~deadline with
+        | None -> Alcotest.fail "no slot"
+        | Some slot ->
+            Fun.protect
+              ~finally:(fun () -> Serve.Workers.release w slot)
+              (fun () ->
+                fst (Serve.Workers.run_job w slot ~key ~spec ~deadline))
+      in
+      let t0 = Unix.gettimeofday () in
+      (match run "close-pipe" close_pipe_spec with
+      | Exec.Outcome.Worker_lost _ -> ()
+      | o ->
+          Alcotest.failf "expected worker-lost, got %s"
+            (Exec.Outcome.class_name o));
+      (match run "next" (sum_task 4).spec with
+      | Exec.Outcome.Ok (J.Int v) -> checki "next job on the slot" (sum_to 7) v
+      | o -> Alcotest.failf "next job: %s" (Exec.Outcome.class_name o));
+      let dt = Unix.gettimeofday () -. t0 in
+      checkb
+        (Fmt.str "both jobs done in %.1fs, not after the 30 s sleep" dt)
+        (dt < 5.0))
+
 (* ------------------------------------------------------------------ *)
 
 let suite =
@@ -568,4 +638,8 @@ let suite =
       test_e2e_worker_lost_and_harvest;
     Alcotest.test_case "e2e: hard hang preempted by heartbeat watchdog" `Quick
       test_e2e_hang_preempted_by_heartbeat;
+    Alcotest.test_case "e2e: worker with a closed pipe lost promptly" `Quick
+      test_e2e_closed_pipe_lost_promptly;
+    Alcotest.test_case "workers: closed pipe lost promptly, slot reused"
+      `Quick test_workers_closed_pipe_lost_promptly;
   ]
