@@ -188,47 +188,12 @@ let run_cmd =
   Cmd.v (Cmd.info "run" ~doc)
     Term.(const run $ bench_arg $ strategy_arg $ technique_arg $ dot_arg)
 
-let stats_cmd =
-  let doc =
-    "Simulate a benchmark and report dynamic statistics: achieved II per \
-     loop and floating-point unit utilization."
-  in
-  let run name strategy technique =
-    let b, c = compile_bench name strategy in
-    apply_technique technique c;
-    let g = c.Minic.Codegen.graph in
-    let inputs = Kernels.Registry.fresh_inputs b in
-    let memory = Sim.Memory.of_graph g in
-    Hashtbl.iter (fun n d -> Sim.Memory.set_floats memory n d) inputs;
-    let out, stats = Sim.Stats.collect ~memory g in
-    Fmt.pr "%s: %a@." name Sim.Engine.pp_status
-      out.Sim.Engine.stats.Sim.Engine.status;
-    List.iter
-      (fun loop ->
-        match Sim.Stats.loop_ii g stats loop with
-        | Some ii -> Fmt.pr "loop %d: achieved II %.2f@." loop ii
-        | None -> ())
-      c.Minic.Codegen.all_loops;
-    Dataflow.Graph.iter_units g (fun u ->
-        match u.Dataflow.Graph.kind with
-        | Dataflow.Types.Operator
-            { op = Dataflow.Types.(Fadd | Fsub | Fmul | Fdiv); _ } ->
-            Fmt.pr "%-14s fires %6d, utilization %4.0f%%@." u.Dataflow.Graph.label
-              (Sim.Stats.fires stats u.Dataflow.Graph.uid)
-              (100.0 *. Sim.Stats.utilization g stats u.Dataflow.Graph.uid)
-        | _ -> ());
-    (* Scripted sweeps must not silently pass over a wedged circuit. *)
-    if not (Sim.Engine.is_completed out) then exit 1
-  in
-  Cmd.v (Cmd.info "stats" ~doc)
-    Term.(const run $ bench_arg $ strategy_arg $ technique_arg)
-
 (* ------------------------------------------------------------------ *)
-(* trace / profile: cycle-level observability (lib/obs)                *)
+(* stats / trace / profile: cycle-level observability (lib/obs)        *)
 
-(** Kernel name resolution shared by [trace] and [profile]: the paper's
-    motivating circuits by figure name, or any registry benchmark
-    (compiled with [strategy], shared with [technique]). *)
+(** Kernel name resolution shared by [stats], [trace] and [profile]:
+    the paper's motivating circuits by figure name, or any registry
+    benchmark (compiled with [strategy], shared with [technique]). *)
 let paper_example = function
   | "fig1" -> Some (Crush.Paper_examples.fig1 ()).Crush.Paper_examples.graph
   | "fig2" ->
@@ -261,6 +226,46 @@ let obs_subject name strategy technique =
           if not v.Kernels.Harness.functionally_correct then
             Fmt.epr "warning: %s produced wrong results@." name;
           out.Sim.Engine.stats )
+
+(** Simulate [name] once with the metrics pass attached.  [stats] and
+    [profile] both print from this one report, and {!Report.Measure}
+    takes its II and utilization columns from the same pass. *)
+let measure name strategy technique =
+  let g, runner = obs_subject name strategy technique in
+  let m = Obs.Metrics.create g in
+  let stats = runner ~sink:(Obs.Metrics.sink m) () in
+  let cycles = stats.Sim.Engine.cycles in
+  (stats, Obs.Metrics.finish m ~kernel:name ~total_cycles:cycles)
+
+let stats_cmd =
+  let doc =
+    "Simulate a benchmark and report dynamic statistics: achieved II per \
+     loop and floating-point unit utilization."
+  in
+  let fp_kinds =
+    [ "operator:fadd"; "operator:fsub"; "operator:fmul"; "operator:fdiv" ]
+  in
+  let run name strategy technique =
+    let stats, report = measure name strategy technique in
+    Fmt.pr "%s: %a@." name Sim.Engine.pp_status stats.Sim.Engine.status;
+    List.iter
+      (fun (l : Obs.Metrics.loop_row) ->
+        if l.iterations >= 2 then
+          Fmt.pr "loop %d: achieved II %.2f@." l.loop_id l.measured_ii)
+      report.Obs.Metrics.loops;
+    List.iter
+      (fun (u : Obs.Metrics.unit_row) ->
+        if List.mem u.ukind fp_kinds then
+          Fmt.pr "%-14s fires %6d, utilization %4.0f%%@." u.ulabel u.fires
+            (100.0 *. u.utilization))
+      report.Obs.Metrics.units;
+    (* Scripted sweeps must not silently pass over a wedged circuit. *)
+    match stats.Sim.Engine.status with
+    | Sim.Engine.Completed _ -> ()
+    | _ -> exit 1
+  in
+  Cmd.v (Cmd.info "stats" ~doc)
+    Term.(const run $ bench_arg $ strategy_arg $ technique_arg)
 
 let obs_kernel_arg =
   Arg.(
@@ -360,13 +365,7 @@ let profile_cmd =
           ~doc:"List at most $(docv) stalled channels / busiest units.")
   in
   let run name strategy technique json_path top =
-    let g, runner = obs_subject name strategy technique in
-    let m = Obs.Metrics.create g in
-    let stats = runner ~sink:(Obs.Metrics.sink m) () in
-    let report =
-      Obs.Metrics.finish m ~kernel:name
-        ~total_cycles:stats.Sim.Engine.cycles
-    in
+    let stats, report = measure name strategy technique in
     Fmt.pr "status: %a@." Sim.Engine.pp_status stats.Sim.Engine.status;
     Fmt.pr "%a" (Obs.Profile.pp_report ~top) report;
     (match json_path with
@@ -719,24 +718,6 @@ let chaos_fault_check ~report () =
 (* ------------------------------------------------------------------ *)
 (* Supervised chaos: taxonomy, watchdogs, retry/quarantine, resume     *)
 
-(** Re-wrap a failure outcome at another payload type (the failure
-    constructors carry no payload, so this is a no-op in spirit; OCaml
-    just needs the re-pack to change the phantom ['a]). *)
-let refail : 'a Exec.Outcome.t -> 'b Exec.Outcome.t = function
-  | Exec.Outcome.Ok _ -> assert false
-  | Frontend_error { phase; loc; token; message } ->
-      Frontend_error { phase; loc; token; message }
-  | Validation_error { message } -> Validation_error { message }
-  | Sim_deadlock { cycle; core } -> Sim_deadlock { cycle; core }
-  | Out_of_fuel { fuel; still_firing; exit_tokens } ->
-      Out_of_fuel { fuel; still_firing; exit_tokens }
-  | Job_timeout { cycles } -> Job_timeout { cycles }
-  | Worker_crash { exn; backtrace } -> Worker_crash { exn; backtrace }
-  | Sanitizer_violation { cycle; unit_label; invariant; detail; repro } ->
-      Sanitizer_violation { cycle; unit_label; invariant; detail; repro }
-  | Worker_lost { shard; reason } -> Worker_lost { shard; reason }
-  | Worker_killed { shard; after_s } -> Worker_killed { shard; after_s }
-
 (** One supervised chaos task: a (kernel, chaos-seed) trial, or one of
     the deliberately broken Eq. 1 circuits that must deadlock. *)
 type chaos_task =
@@ -761,8 +742,7 @@ let chaos_decode j =
   | Some c, Some n -> Some (c, n)
   | _ -> None
 
-let run_chaos_task ?poll_every ~sanitize ~auto_reduce ~repro_dir ~deadline task
-    =
+let run_chaos_task ~sanitize ~auto_reduce ~repro_dir ~deadline task =
   let with_monitor name g f =
     if sanitize then sanitized ~deadline ~auto_reduce ~repro_dir ~name g f
     else f (fun _ ~cycle:_ _ -> ())
@@ -777,25 +757,19 @@ let run_chaos_task ?poll_every ~sanitize ~auto_reduce ~repro_dir ~deadline task
       with_monitor name c.Minic.Codegen.graph (fun monitor ->
           let chaos = Sim.Chaos.default ~seed:s in
           let out, v =
-            Kernels.Harness.run_circuit_full ?poll_every ~deadline ~monitor
-              ~chaos b c.Minic.Codegen.graph
+            Kernels.Harness.run_circuit_full ~deadline ~monitor ~chaos b
+              c.Minic.Codegen.graph
           in
-          match Exec.Outcome.of_sim_run out with
-          | Exec.Outcome.Ok _ ->
-              Exec.Outcome.Ok
-                ( v.Kernels.Harness.functionally_correct,
-                  v.Kernels.Harness.cycles )
-          | failure -> refail failure)
+          Exec.Outcome.of_sim_run out
+          |> Exec.Outcome.map (fun _ ->
+                 ( v.Kernels.Harness.functionally_correct,
+                   v.Kernels.Harness.cycles )))
   | Fault fault ->
       let g = fault_circuit fault in
       with_monitor ("fault_" ^ fault_slug fault) g (fun monitor ->
-          let out =
-            Sim.Engine.run ~max_cycles:100_000 ?poll_every ~deadline ~monitor g
-          in
-          match Exec.Outcome.of_sim_run out with
-          | Exec.Outcome.Ok stats ->
-              Exec.Outcome.Ok (true, stats.Sim.Engine.cycles)
-          | failure -> refail failure)
+          Sim.Engine.run ~max_cycles:100_000 ~deadline ~monitor g
+          |> Exec.Outcome.of_sim_run
+          |> Exec.Outcome.map (fun stats -> (true, stats.Sim.Engine.cycles)))
 
 (** JSON campaign report (schema-versioned, like the journal), written
     atomically so a kill mid-report never leaves a torn file.  [results]
@@ -852,7 +826,7 @@ let write_chaos_report path ~trials ~seed ~jobs ~shards ~journal_dups summary
     the batch always drains, and the summary table plus per-class exit
     code replace the legacy first-failure abort.  Fault-injection tasks
     are expected to classify as deadlocks; anything else is a miss. *)
-let chaos_supervised ?poll_every ~jobs ~trials ~seed ~sup ~inject_faults
+let chaos_supervised ~jobs ~trials ~seed ~sup ~inject_faults
     ~sanitize ~auto_reduce ~repro_dir ~report benches =
   let tasks =
     List.concat_map
@@ -877,7 +851,7 @@ let chaos_supervised ?poll_every ~jobs ~trials ~seed ~sup ~inject_faults
   let results =
     Exec.Campaign.map_outcomes ~jobs ~sup ~key:chaos_key ~encode:chaos_encode
       ~decode:chaos_decode
-      (run_chaos_task ?poll_every ~sanitize ~auto_reduce ~repro_dir)
+      (run_chaos_task ~sanitize ~auto_reduce ~repro_dir)
       tasks
   in
   (* Trials: any non-[Ok] outcome is a failure; [Ok] with wrong results
@@ -1006,7 +980,6 @@ let chaos_worker_run opts =
   let retries =
     Option.value ~default:0 (Exec.Supervisor.flag_int opts "retries")
   in
-  let poll_every = Exec.Supervisor.flag_int opts "poll-every" in
   let sanitize = flag_true "sanitize" in
   let auto_reduce = flag_true "auto-reduce" in
   let repro_dir =
@@ -1028,8 +1001,7 @@ let chaos_worker_run opts =
                 ctx.Exec.Supervisor.heartbeat ();
                 deadline ()
               in
-              run_chaos_task ?poll_every ~sanitize ~auto_reduce ~repro_dir
-                ~deadline task)
+              run_chaos_task ~sanitize ~auto_reduce ~repro_dir ~deadline task)
         in
         (Exec.Outcome.to_json chaos_encode o, attempts)
 
@@ -1051,7 +1023,7 @@ let read_lines path =
     compared byte-for-byte against a fresh serial [--jobs 1] rerun of
     the same tasks. *)
 let chaos_sharded ~shards ~trials ~seed ~timeout_s ~retries ~journal ~fsync
-    ~heartbeat_s ~poll_every ~sanitize ~auto_reduce ~repro_dir ~inject_faults
+    ~heartbeat_s ~sanitize ~auto_reduce ~repro_dir ~inject_faults
     ~crash_workers ~report benches =
   let tasks =
     List.concat_map
@@ -1091,9 +1063,6 @@ let chaos_sharded ~shards ~trials ~seed ~timeout_s ~retries ~journal ~fsync
       | Some t -> [ "--opt"; Fmt.str "timeout-s=%g" t ]
       | None -> [])
     @ [ "--opt"; Fmt.str "retries=%d" retries ]
-    @ (match poll_every with
-      | Some n -> [ "--opt"; Fmt.str "poll-every=%d" n ]
-      | None -> [])
     @ (if sanitize then [ "--opt"; "sanitize=true" ] else [])
     @ (if auto_reduce then [ "--opt"; "auto-reduce=true" ] else [])
     @ [ "--opt"; "repro-dir=" ^ repro_dir ]
@@ -1183,12 +1152,12 @@ let chaos_sharded ~shards ~trials ~seed ~timeout_s ~retries ~journal ~fsync
     Fmt.pr "crash-chaos: serial rerun for the byte-identity check...@.";
     let sup =
       Exec.Campaign.supervision ?timeout_s ~retries ~journal:serial_path
-        ~fsync ?poll_every ()
+        ~fsync ()
     in
     ignore
       (Exec.Campaign.map_outcomes ~jobs:1 ~sup ~key:chaos_key
          ~encode:chaos_encode ~decode:chaos_decode
-         (run_chaos_task ?poll_every ~sanitize ~auto_reduce ~repro_dir)
+         (run_chaos_task ~sanitize ~auto_reduce ~repro_dir)
          tasks);
     let keep l =
       match Exec.Journal.entry_of_line l with
@@ -1290,7 +1259,7 @@ let chaos_cmd =
   in
   let run trials seed kernel report jobs keep_going timeout_s retries journal
       inject_faults sanitize auto_reduce repro_dir profile trace shards
-      crash_workers fsync poll_every heartbeat_s faultfs =
+      crash_workers fsync heartbeat_s faultfs =
     Exec.Interrupt.install ();
     if faultfs then begin
       (* The durability counterpart of the circuit chaos below: explore
@@ -1324,16 +1293,15 @@ let chaos_cmd =
     if shards > 0 then begin
       chaos_observe ~seed ~profile ~trace benches;
       chaos_sharded ~shards ~trials ~seed ~timeout_s ~retries ~journal ~fsync
-        ~heartbeat_s ~poll_every ~sanitize ~auto_reduce ~repro_dir
-        ~inject_faults ~crash_workers ~report benches
+        ~heartbeat_s ~sanitize ~auto_reduce ~repro_dir ~inject_faults
+        ~crash_workers ~report benches
     end
     else if supervised then begin
       let sup =
-        Exec.Campaign.supervision ?timeout_s ~retries ?journal ~fsync
-          ?poll_every ()
+        Exec.Campaign.supervision ?timeout_s ~retries ?journal ~fsync ()
       in
       chaos_observe ~seed ~profile ~trace benches;
-      chaos_supervised ?poll_every ~jobs ~trials ~seed ~sup ~inject_faults
+      chaos_supervised ~jobs ~trials ~seed ~sup ~inject_faults
         ~sanitize ~auto_reduce ~repro_dir ~report benches
     end
     else begin
@@ -1382,16 +1350,6 @@ let chaos_cmd =
             "fsync every journal record (shard and campaign journals), so \
              checkpoints survive machine death, not just process death.")
   in
-  let poll_every_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "poll-every" ] ~docv:"CYCLES"
-          ~doc:
-            "Poll the cooperative watchdog deadline every $(docv) simulated \
-             cycles (default 64); lower values tighten timeout latency at a \
-             small per-cycle cost.")
-  in
   let heartbeat_arg =
     Arg.(
       value
@@ -1417,7 +1375,7 @@ let chaos_cmd =
       $ keep_going_arg $ timeout_arg $ retries_arg $ journal_arg
       $ inject_faults_arg $ sanitize_arg $ auto_reduce_arg $ repro_dir_arg
       $ chaos_profile_arg $ chaos_trace_arg $ shards_arg $ crash_workers_arg
-      $ fsync_arg $ poll_every_arg $ heartbeat_arg $ chaos_faultfs_arg)
+      $ fsync_arg $ heartbeat_arg $ chaos_faultfs_arg)
 
 (* ------------------------------------------------------------------ *)
 (* sanitize: sanitizer self-test + clean-circuit zero-violation sweep  *)
@@ -1713,7 +1671,9 @@ let serve_cmd =
       value
       & opt int 256
       & info [ "cache-capacity" ] ~docv:"N"
-          ~doc:"Content-hash result cache entries (FIFO eviction).")
+          ~doc:
+            "Content-hash result cache entries (least recently used \
+             evicted first).")
   in
   let req_rate_arg =
     Arg.(

@@ -58,18 +58,15 @@ type supervision = {
   retries : int;
   journal : string option;
   fsync : bool;
-  poll_every : int option;
 }
 
-let supervision ?timeout_s ?(retries = 0) ?journal ?(fsync = false) ?poll_every
-    () =
+let supervision ?timeout_s ?(retries = 0) ?journal ?(fsync = false) () =
   if retries < 0 then
     invalid_arg (Fmt.str "Campaign.supervision: retries %d < 0" retries);
-  { timeout_s; retries; journal; fsync; poll_every }
+  { timeout_s; retries; journal; fsync }
 
 let no_supervision =
-  { timeout_s = None; retries = 0; journal = None; fsync = false;
-    poll_every = None }
+  { timeout_s = None; retries = 0; journal = None; fsync = false }
 
 (** Deadline predicate for one attempt, on the monotonic clock (a
     wall-clock step must not fire or starve it).  [limit <= 0.0] fires
@@ -202,7 +199,6 @@ let run_sims_supervised ?jobs ?(sup = no_supervision)
     ~encode:Outcome.stats_to_json ~decode:Outcome.stats_of_json
     (fun ~deadline (_, { graph; memory; chaos; max_cycles }) ->
       Outcome.of_sim_run
-        (Sim.Engine.run ?max_cycles ?poll_every:sup.poll_every ~deadline ?chaos
-           ?memory graph))
+        (Sim.Engine.run ?max_cycles ~deadline ?chaos ?memory graph))
     indexed
   |> List.map (fun ((_, t), o) -> (t, o))

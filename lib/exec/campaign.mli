@@ -94,8 +94,6 @@ type supervision = {
   retries : int;             (** extra attempts for transient failures *)
   journal : string option;   (** JSONL checkpoint path *)
   fsync : bool;              (** fsync every journal record *)
-  poll_every : int option;
-      (** watchdog poll interval in cycles, see {!Sim.Engine.run} *)
 }
 
 val supervision :
@@ -103,7 +101,6 @@ val supervision :
   ?retries:int ->
   ?journal:string ->
   ?fsync:bool ->
-  ?poll_every:int ->
   unit ->
   supervision
 

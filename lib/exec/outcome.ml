@@ -51,6 +51,20 @@ type 'a t =
 
 let is_ok = function Ok _ -> true | _ -> false
 
+(* Exhaustive, so a new failure class is a compile error here rather
+   than a silently dropped payload. *)
+let map f = function
+  | Ok x -> Ok (f x)
+  | Frontend_error e -> Frontend_error e
+  | Validation_error e -> Validation_error e
+  | Sim_deadlock e -> Sim_deadlock e
+  | Out_of_fuel e -> Out_of_fuel e
+  | Job_timeout e -> Job_timeout e
+  | Worker_crash e -> Worker_crash e
+  | Sanitizer_violation e -> Sanitizer_violation e
+  | Worker_lost e -> Worker_lost e
+  | Worker_killed e -> Worker_killed e
+
 (** Transient failures are worth retrying: a wall-clock timeout can be a
     loaded machine, a crash can be a resource blip.  The deterministic
     classes (frontend, validation, deadlock, out-of-fuel, sanitizer)

@@ -57,6 +57,10 @@ type 'a t =
 
 val is_ok : 'a t -> bool
 
+(** Apply [f] to an [Ok] payload; a failure keeps its class and forensic
+    payload at the new payload type. *)
+val map : ('a -> 'b) -> 'a t -> 'b t
+
 (** Worth retrying: [Job_timeout], [Worker_crash], [Worker_lost] and
     [Worker_killed].  The other classes are deterministic and would fail
     identically again. *)

@@ -4,8 +4,6 @@
     that the circuit produces the same result as the C code and the
     circuit does not deadlock", Section 6.1). *)
 
-open Dataflow
-
 type verdict = {
   status : Sim.Engine.status;
   cycles : int;
@@ -34,78 +32,52 @@ let compare_arrays (bench : Registry.bench) (expected : Reference.arrays)
       List.rev !bad)
     bench.Registry.arrays
 
-(** Simulate [graph] on fresh inputs for [bench] and verify the results,
-    returning both the engine outcome (for forensics) and the verdict.
+(** Fill a fresh memory for [graph] with [bench]'s inputs for [seed],
+    hand it to [simulate], and verify the arrays it leaves against the
+    software reference.  Returns the engine outcome (for forensics) and
+    the verdict. *)
+let verify ~seed (bench : Registry.bench) graph simulate =
+  let inputs = Registry.fresh_inputs ~seed bench in
+  let expected = Registry.copy_arrays inputs in
+  bench.reference expected;
+  let memory = Sim.Memory.of_graph graph in
+  Hashtbl.iter (fun name data -> Sim.Memory.set_floats memory name data) inputs;
+  let out = simulate memory in
+  let mismatches =
+    if Sim.Engine.is_completed out then compare_arrays bench expected memory
+    else []
+  in
+  ( out,
+    {
+      status = out.stats.status;
+      cycles = out.stats.cycles;
+      functionally_correct = Sim.Engine.is_completed out && mismatches = [];
+      mismatches;
+    } )
+
+(** Simulate [graph] on fresh inputs for [bench] and verify the results.
     [max_cycles] bounds runaway simulations; [deadline] is the
     supervised-campaign watchdog predicate ({!Sim.Engine.run}); [chaos]
     perturbs the run adversarially (the circuit must still complete with
     the same results). *)
-let run_circuit_full ?(seed = 42) ?(max_cycles = 2_000_000) ?poll_every ?deadline ?monitor
-    ?chaos ?sink (bench : Registry.bench) (graph : Graph.t) =
-  let inputs = Registry.fresh_inputs ~seed bench in
-  let expected = Registry.copy_arrays inputs in
-  bench.reference expected;
-  let memory = Sim.Memory.of_graph graph in
-  Hashtbl.iter (fun name data -> Sim.Memory.set_floats memory name data) inputs;
-  let out =
-    Sim.Engine.run ~max_cycles ?poll_every ?deadline ?monitor ?chaos ?sink ~memory graph
-  in
-  let mismatches =
-    if Sim.Engine.is_completed out then compare_arrays bench expected memory
-    else []
-  in
-  ( out,
-    {
-      status = out.stats.status;
-      cycles = out.stats.cycles;
-      functionally_correct = Sim.Engine.is_completed out && mismatches = [];
-      mismatches;
-    } )
+let run_circuit_full ?(seed = 42) ?max_cycles ?deadline ?monitor ?chaos ?sink
+    bench graph =
+  verify ~seed bench graph (fun memory ->
+      Sim.Engine.run ?max_cycles ?deadline ?monitor ?chaos ?sink ~memory graph)
 
 (** Like {!run_circuit_full} but over a pre-compiled execution image
-    ({!Sim.Engine.image}): fresh inputs, fresh memory, cloned run state —
-    the simulation is cycle-for-cycle identical to compiling the image's
-    graph and calling {!run_circuit_full}, minus validation and graph
+    ({!Sim.Engine.image}): the simulation is cycle-for-cycle identical
+    to running the image's graph, minus validation and graph
     compilation.  No [chaos] (images are chaos-free by construction). *)
-let run_image_full ?(seed = 42) ?(max_cycles = 2_000_000) ?poll_every
-    ?deadline ?monitor ?sink (bench : Registry.bench) image =
-  let graph = Sim.Engine.image_graph image in
-  let inputs = Registry.fresh_inputs ~seed bench in
-  let expected = Registry.copy_arrays inputs in
-  bench.reference expected;
-  let memory = Sim.Memory.of_graph graph in
-  Hashtbl.iter (fun name data -> Sim.Memory.set_floats memory name data) inputs;
-  let out =
-    Sim.Engine.run_image ~max_cycles ?poll_every ?deadline ?monitor ?sink
-      ~memory image
-  in
-  let mismatches =
-    if Sim.Engine.is_completed out then compare_arrays bench expected memory
-    else []
-  in
-  ( out,
-    {
-      status = out.stats.status;
-      cycles = out.stats.cycles;
-      functionally_correct = Sim.Engine.is_completed out && mismatches = [];
-      mismatches;
-    } )
+let run_image_full ?(seed = 42) ?max_cycles ?deadline ?monitor ?sink bench
+    image =
+  verify ~seed bench (Sim.Engine.image_graph image) (fun memory ->
+      Sim.Engine.run_image ?max_cycles ?deadline ?monitor ?sink ~memory image)
 
-let run_circuit ?seed ?max_cycles ?poll_every ?deadline ?monitor ?chaos ?sink bench graph =
+let run_circuit ?seed ?max_cycles ?deadline ?monitor ?chaos ?sink bench graph =
   snd
-    (run_circuit_full ?seed ?max_cycles ?poll_every ?deadline ?monitor ?chaos ?sink bench
+    (run_circuit_full ?seed ?max_cycles ?deadline ?monitor ?chaos ?sink bench
        graph)
-
-(** Compile [bench] with [strategy], optionally post-process the circuit
-    with [transform] (e.g. a sharing pass), then simulate and verify. *)
-let compile_and_run ?seed ?max_cycles ?poll_every ?deadline ?monitor ?chaos ?sink
-    ?(strategy = Minic.Codegen.Bb_ordered)
-    ?(transform = fun (c : Minic.Codegen.compiled) -> c) bench =
-  let compiled = Minic.Codegen.compile_source ~strategy bench.Registry.source in
-  let compiled = transform compiled in
-  ( compiled,
-    run_circuit ?seed ?max_cycles ?poll_every ?deadline ?monitor ?chaos ?sink bench
-      compiled.Minic.Codegen.graph )
 
 let pp_verdict ppf v =
   Fmt.pf ppf "%a, %s (%d cycles)" Sim.Engine.pp_status v.status

@@ -24,7 +24,6 @@ type verdict = {
 val run_circuit :
   ?seed:int ->
   ?max_cycles:int ->
-  ?poll_every:int ->
   ?deadline:(unit -> bool) ->
   ?monitor:(Sim.Engine.t -> cycle:int -> Sim.Engine.monitor_phase -> unit) ->
   ?chaos:Sim.Chaos.config ->
@@ -38,7 +37,6 @@ val run_circuit :
 val run_circuit_full :
   ?seed:int ->
   ?max_cycles:int ->
-  ?poll_every:int ->
   ?deadline:(unit -> bool) ->
   ?monitor:(Sim.Engine.t -> cycle:int -> Sim.Engine.monitor_phase -> unit) ->
   ?chaos:Sim.Chaos.config ->
@@ -54,27 +52,11 @@ val run_circuit_full :
 val run_image_full :
   ?seed:int ->
   ?max_cycles:int ->
-  ?poll_every:int ->
   ?deadline:(unit -> bool) ->
   ?monitor:(Sim.Engine.t -> cycle:int -> Sim.Engine.monitor_phase -> unit) ->
   ?sink:Sim.Engine.sink ->
   Registry.bench ->
   Sim.Engine.image ->
   Sim.Engine.outcome * verdict
-
-(** Compile the benchmark, post-process with [transform] (e.g. a sharing
-    pass mutating the graph), then simulate and verify. *)
-val compile_and_run :
-  ?seed:int ->
-  ?max_cycles:int ->
-  ?poll_every:int ->
-  ?deadline:(unit -> bool) ->
-  ?monitor:(Sim.Engine.t -> cycle:int -> Sim.Engine.monitor_phase -> unit) ->
-  ?chaos:Sim.Chaos.config ->
-  ?sink:Sim.Engine.sink ->
-  ?strategy:Minic.Codegen.strategy ->
-  ?transform:(Minic.Codegen.compiled -> Minic.Codegen.compiled) ->
-  Registry.bench ->
-  Minic.Codegen.compiled * verdict
 
 val pp_verdict : verdict Fmt.t

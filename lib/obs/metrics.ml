@@ -89,8 +89,8 @@ type t = {
   n_channels : int;
   (* per unit: cycles the sequential state advanced (E_fire) ... *)
   active : int array;
-  (* ... and output-port-0 transfers — the firing notion Stats uses,
-     so measured II agrees with the seed engine's values *)
+  (* ... and output-port-0 transfers: one per token a unit emits,
+     which is what iteration counts and measured II count *)
   fires : int array;
   first_fire : int array;
   last_fire : int array;

@@ -1,12 +1,3 @@
-type result = { report : Metrics.report; stats : Sim.Engine.stats }
-
-let run ?max_cycles ?memory ?monitor ?(extra_sinks = []) ~kernel g =
-  let m = Metrics.create g in
-  let sink = Events.tee (Metrics.sink m :: extra_sinks) in
-  let outcome = Sim.Engine.run ?max_cycles ?memory ?monitor ~sink g in
-  let stats = outcome.Sim.Engine.stats in
-  { report = Metrics.finish m ~kernel ~total_cycles:stats.cycles; stats }
-
 let pp_reasons ppf by_reason =
   Fmt.pf ppf "%a"
     Fmt.(list ~sep:comma (fun ppf (r, n) -> Fmt.pf ppf "%s %d" r n))
@@ -80,7 +71,3 @@ let pp_report ?(top = 8) ppf (r : Metrics.report) =
           b.slots b.avg_occ b.p50_occ b.p95_occ b.max_occ)
       r.buffers
   end
-
-let pp ppf r =
-  Fmt.pf ppf "status: %a@." Sim.Engine.pp_status r.stats.Sim.Engine.status;
-  pp_report ppf r.report

@@ -1,26 +1,7 @@
-(** One-call profiling runs and the human-readable profile report.
-
-    [run] simulates a circuit with a {!Metrics} sink attached (plus any
-    extra sinks, e.g. trace writers) and folds the result; {!pp_report}
-    renders the per-kernel text profile: measured-vs-assumed II per
-    loop, the most contended shared unit, credit pressure, top stalled
-    channels, busiest units, and buffer occupancy. *)
-
-type result = { report : Metrics.report; stats : Sim.Engine.stats }
-
-(** Simulate [g] with metrics attached.  [extra_sinks] are tee'd in
-    after the metrics sink (trace writers); [monitor] is passed through
-    (VCD recorder).  Other parameters as {!Sim.Engine.run}. *)
-val run :
-  ?max_cycles:int ->
-  ?memory:Sim.Memory.t ->
-  ?monitor:(Sim.Engine.t -> cycle:int -> Sim.Engine.monitor_phase -> unit) ->
-  ?extra_sinks:Sim.Engine.sink list ->
-  kernel:string ->
-  Dataflow.Graph.t ->
-  result
+(** The human-readable profile report of a {!Metrics} report: measured
+    vs assumed II per loop, the most contended shared unit, credit
+    pressure, top stalled channels, busiest units, and buffer
+    occupancy. *)
 
 (** [top] bounds the stalled-channel and busiest-unit lists (default 8). *)
 val pp_report : ?top:int -> Metrics.report Fmt.t
-
-val pp : result Fmt.t

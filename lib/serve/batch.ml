@@ -104,7 +104,7 @@ let admit t ~sanitize ~deadline_left_s key =
     Same classification pipeline as the worker tier
     ({!Exec.Campaign.run_with_retries} with zero retries), so the
     [Outcome] -> HTTP table stays the single authority downstream. *)
-let run t ?poll_every ~deadline_at image (job : Api.job) : J.t Outcome.t =
+let run t ~deadline_at image (job : Api.job) : J.t Outcome.t =
   let result =
     ref
       (Outcome.Worker_lost { shard = -1; reason = "batch task never ran" }
@@ -114,7 +114,7 @@ let run t ?poll_every ~deadline_at image (job : Api.job) : J.t Outcome.t =
     let timeout_s = deadline_at -. Unix.gettimeofday () in
     let o, _attempts =
       Exec.Campaign.run_with_retries ~timeout_s ~retries:0 (fun ~deadline ->
-          Job.run_on_image ?poll_every ~deadline job image)
+          Job.run_on_image ~deadline job image)
     in
     result := o
   in
@@ -132,23 +132,20 @@ let run t ?poll_every ~deadline_at image (job : Api.job) : J.t Outcome.t =
     failure so a transient compile error never poisons the key.  This is
     how the cache warms at all: cold jobs are reserved to worker
     processes, so the parent only compiles circuits a worker already
-    proved out end to end. *)
+    proved out end to end.  The request's routing probe in {!admit}
+    already counted its hit or miss, so priming claims the key without
+    counting a second one. *)
 let prime t (job : Api.job) =
   let key = Api.circuit_digest job in
-  match Cache.admit t.images key with
-  | Cache.Hit _ | Cache.Join -> ()
-  | Cache.Lead -> (
-      match Job.compile job with
-      | Ok graph ->
-          let image = Sim.Engine.image graph in
-          Cache.fulfill t.images key image;
-          locked t (fun () -> t.primes <- t.primes + 1)
-      | Error _ ->
-          Cache.abandon t.images key;
-          locked t (fun () -> t.prime_failures <- t.prime_failures + 1)
-      | exception _ ->
-          Cache.abandon t.images key;
-          locked t (fun () -> t.prime_failures <- t.prime_failures + 1))
+  if Cache.claim t.images key then
+    match Job.compile job with
+    | Ok graph ->
+        let image = Sim.Engine.image graph in
+        Cache.fulfill t.images key image;
+        locked t (fun () -> t.primes <- t.primes + 1)
+    | Error _ | (exception _) ->
+        Cache.abandon t.images key;
+        locked t (fun () -> t.prime_failures <- t.prime_failures + 1)
 
 type counters = {
   runs : int;

@@ -72,14 +72,14 @@ val admit :
     Releases the admission slot. *)
 val run :
   t ->
-  ?poll_every:int ->
   deadline_at:float ->
   Sim.Engine.image ->
   Api.job ->
   Exec.Jsonl.t Exec.Outcome.t
 
 (** Compile-and-cache a circuit the worker tier just proved out.
-    Single-flight; failures abandon rather than poison. *)
+    Single-flight; failures abandon rather than poison.  Counts no
+    image-cache hit or miss: {!admit} counted this request's. *)
 val prime : t -> Api.job -> unit
 
 type counters = {

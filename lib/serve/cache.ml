@@ -60,6 +60,14 @@ let admit t key =
           Hashtbl.replace t.tbl key Pending;
           Lead)
 
+let claim t key =
+  locked t (fun () ->
+      match Hashtbl.find_opt t.tbl key with
+      | Some (Ready _ | Pending) -> false
+      | None ->
+          Hashtbl.replace t.tbl key Pending;
+          true)
+
 let lookup t key =
   locked t (fun () ->
       match Hashtbl.find_opt t.tbl key with

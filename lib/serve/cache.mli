@@ -31,6 +31,13 @@ type 'a admission =
 
 val admit : 'a t -> string -> 'a admission
 
+(** {!admit} for a filler, not a user: [true] if the key was absent
+    and this caller now leads it (it must {!fulfill} or {!abandon}),
+    [false] if a value is ready or another caller leads.  Counts
+    nothing: the daemon's image cache counts each request once, at its
+    routing {!lookup}, and filling the cache afterwards is not a use. *)
+val claim : 'a t -> string -> bool
+
 (** Counting, non-leading probe — the batch tier's routing check.  A
     ready value counts a hit; otherwise (absent, or still being
     computed) a miss, and, unlike {!admit}, no Pending entry is planted:

@@ -47,22 +47,6 @@ let verdict_result (v : Kernels.Harness.verdict) =
       ("mismatches", J.Int (List.length v.Kernels.Harness.mismatches));
     ]
 
-(** [of_sim_run] yields a [stats Outcome.t]; re-seat its payload as API
-    JSON.  Exhaustive so a taxonomy extension is a compile error here
-    too. *)
-let with_json_payload (o : Sim.Engine.stats Outcome.t) : J.t Outcome.t =
-  match o with
-  | Ok stats -> Ok (stats_result stats)
-  | Frontend_error e -> Frontend_error e
-  | Validation_error e -> Validation_error e
-  | Sim_deadlock e -> Sim_deadlock e
-  | Out_of_fuel e -> Out_of_fuel e
-  | Job_timeout e -> Job_timeout e
-  | Worker_crash e -> Worker_crash e
-  | Sanitizer_violation e -> Sanitizer_violation e
-  | Worker_lost e -> Worker_lost e
-  | Worker_killed e -> Worker_killed e
-
 (** Elaborate the job's circuit: payload -> technique-applied dataflow
     graph.  This is the compile half of {!run} — frontend exceptions
     escape exactly as they do from [run] (the caller's
@@ -99,69 +83,48 @@ let compile (job : Api.job) : (Dataflow.Graph.t, J.t Outcome.t) result =
                  { message = "undecodable circuit JSON" })
         | Some g -> Ok g)
 
-(** The simulate half, over either a freshly compiled graph or a cached
-    execution image.  The two targets are cycle-for-cycle the same
-    simulation ({!Sim.Engine.run_image}), so batch-tier (image) and
-    worker-tier (graph) runs of one job classify identically. *)
-let simulate ?poll_every ~deadline (job : Api.job) target : J.t Outcome.t =
+(** The simulate half, over a compiled execution image.  Worker-tier
+    runs build their image from a fresh compile and batch-tier runs take
+    a cached one, so both tiers run this same code and classify every
+    job identically. *)
+let run_on_image ~deadline (job : Api.job) image : J.t Outcome.t =
   let monitor =
     if job.Api.sanitize then Some (Sim.Sanitizer.monitor ()) else None
   in
+  let max_cycles = job.Api.max_cycles in
   match job.Api.payload with
   | Api.Kernel { name } ->
-      let b = Kernels.Registry.find name in
       let eng, verdict =
-        match target with
-        | `Graph g ->
-            Kernels.Harness.run_circuit_full ~seed:job.Api.seed
-              ~max_cycles:job.Api.max_cycles ?poll_every ~deadline ?monitor b
-              g
-        | `Image img ->
-            Kernels.Harness.run_image_full ~seed:job.Api.seed
-              ~max_cycles:job.Api.max_cycles ?poll_every ~deadline ?monitor b
-              img
+        Kernels.Harness.run_image_full ~seed:job.Api.seed ~max_cycles
+          ~deadline ?monitor
+          (Kernels.Registry.find name)
+          image
       in
-      (match Outcome.of_sim_run eng with
-      | Outcome.Ok _ -> Outcome.Ok (verdict_result verdict)
-      | o -> with_json_payload o)
+      Outcome.map (fun _ -> verdict_result verdict) (Outcome.of_sim_run eng)
   | Api.Source _ | Api.Circuit _ ->
-      let out =
-        match target with
-        | `Graph g ->
-            Sim.Engine.run ~max_cycles:job.Api.max_cycles ?poll_every
-              ~deadline ?monitor g
-        | `Image img ->
-            Sim.Engine.run_image ~max_cycles:job.Api.max_cycles ?poll_every
-              ~deadline ?monitor img
-      in
-      with_json_payload (Outcome.of_sim_run out)
+      Sim.Engine.run_image ~max_cycles ~deadline ?monitor image
+      |> Outcome.of_sim_run |> Outcome.map stats_result
 
-let run ?poll_every ~deadline (job : Api.job) : J.t Outcome.t =
+let run ~deadline (job : Api.job) : J.t Outcome.t =
   match compile job with
   | Error o -> o
-  | Ok g -> simulate ?poll_every ~deadline job (`Graph g)
+  | Ok g -> run_on_image ~deadline job (Sim.Engine.image g)
 
-let run_on_image ?poll_every ~deadline (job : Api.job) image : J.t Outcome.t =
-  simulate ?poll_every ~deadline job (`Image image)
-
-let worker_run (opts : Exec.Supervisor.worker_opts) =
-  let poll_every = Exec.Supervisor.flag_int opts "poll-every" in
-  fun ~(ctx : Exec.Supervisor.job_ctx) spec ->
-    let encode = Fun.id in
-    match Api.job_of_json spec with
-    | Error m ->
-        ( Outcome.to_json encode
-            (Outcome.Validation_error { message = m } : J.t Outcome.t),
-          1 )
-    | Ok job ->
-        let timeout_s = Option.bind (J.member "timeout_s" spec) J.to_float in
-        let o, attempts =
-          Exec.Campaign.run_with_retries ?timeout_s ~retries:0
-            (fun ~deadline ->
-              let deadline () =
-                ctx.Exec.Supervisor.heartbeat ();
-                deadline ()
-              in
-              run ?poll_every ~deadline job)
-        in
-        (Outcome.to_json encode o, attempts)
+let worker_run (_ : Exec.Supervisor.worker_opts)
+    ~(ctx : Exec.Supervisor.job_ctx) spec =
+  match Api.job_of_json spec with
+  | Error m ->
+      ( Outcome.to_json Fun.id
+          (Outcome.Validation_error { message = m } : J.t Outcome.t),
+        1 )
+  | Ok job ->
+      let timeout_s = Option.bind (J.member "timeout_s" spec) J.to_float in
+      let o, attempts =
+        Exec.Campaign.run_with_retries ?timeout_s ~retries:0 (fun ~deadline ->
+            let deadline () =
+              ctx.Exec.Supervisor.heartbeat ();
+              deadline ()
+            in
+            run ~deadline job)
+      in
+      (Outcome.to_json Fun.id o, attempts)

@@ -13,7 +13,6 @@
     against the software reference), [{"kind":"stats",...}] for source
     and circuit jobs. *)
 val run :
-  ?poll_every:int ->
   deadline:(unit -> bool) ->
   Api.job ->
   Exec.Jsonl.t Exec.Outcome.t
@@ -26,12 +25,11 @@ val run :
 val compile :
   Api.job -> (Dataflow.Graph.t, Exec.Jsonl.t Exec.Outcome.t) result
 
-(** The simulate half of {!run} over a cached execution image instead of
-    a freshly compiled graph.  Cycle-for-cycle identical to [run] on the
-    image's graph ({!Sim.Engine.run_image}), so batch-tier and
-    worker-tier runs of the same job classify identically. *)
+(** The simulate half of {!run}: [run] is {!compile}, then
+    {!Sim.Engine.image}, then this.  The batch tier calls it on a cached
+    image, so batch-tier and worker-tier runs of the same job run the
+    same code and classify identically. *)
 val run_on_image :
-  ?poll_every:int ->
   deadline:(unit -> bool) ->
   Api.job ->
   Sim.Engine.image ->

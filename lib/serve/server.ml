@@ -24,7 +24,6 @@ type config = {
   grace_s : float;
   drain_timeout_s : float;
   seed : int;
-  poll_every : int option;
   journal : string option;
   verbose : bool;
   batch_domains : int;
@@ -57,7 +56,6 @@ let default_config ~binary =
     grace_s = 2.0;
     drain_timeout_s = 10.0;
     seed = 1;
-    poll_every = None;
     journal = None;
     verbose = false;
     batch_domains = 2;
@@ -136,13 +134,7 @@ let create cfg =
     | _ -> 0
   in
   let jw = Option.map (Exec.Journal.open_append ~fsync:false) cfg.journal in
-  let argv_tail =
-    [ "__worker"; "--kind"; "serve" ]
-    @
-    match cfg.poll_every with
-    | Some n -> [ "--opt"; Fmt.str "poll-every=%d" n ]
-    | None -> []
-  in
+  let argv_tail = [ "__worker"; "--kind"; "serve" ] in
   (* The batch tier spawns its domains now, before the fd baseline is
      read, so any runtime bookkeeping they allocate is baselined. *)
   let batch =
@@ -393,9 +385,7 @@ let run_on_worker t ~digest ~deadline (job : Api.job) =
     releases it). *)
 let run_on_batch t b ~digest ~deadline image (job : Api.job) =
   let key = next_key t ~digest in
-  let o =
-    Batch.run b ?poll_every:t.cfg.poll_every ~deadline_at:deadline image job
-  in
+  let o = Batch.run b ~deadline_at:deadline image job in
   finish t ~digest ~tier:"batch" ~key ~attempts:1 o
 
 (** Run the job as cache leader; returns the response fields.  Always

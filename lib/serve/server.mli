@@ -59,7 +59,6 @@ type config = {
   grace_s : float;            (** hard-kill slack past the deadline *)
   drain_timeout_s : float;
   seed : int;                 (** Retry-After jitter seed *)
-  poll_every : int option;    (** engine watchdog poll interval *)
   journal : string option;    (** request journal (JSONL append) *)
   verbose : bool;
   batch_domains : int;        (** in-process batch tier domains; 0 disables *)

@@ -28,6 +28,10 @@ let locked t f =
 
 let create ~binary ~argv_tail ~heartbeat_s ~grace_s ~n =
   if n < 1 then invalid_arg "Workers.create: n < 1";
+  (* A job sent to a worker that has just died must come back as EPIPE
+     ({!Exec.Worker.send} fails and the job classifies as worker-lost),
+     not kill this process through the default SIGPIPE disposition. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let t =
     {
       binary;

@@ -1281,21 +1281,6 @@ let step_unit t u =
 (* ------------------------------------------------------------------ *)
 (* Top-level run loop                                                  *)
 
-(** Tokens moving this cycle.  Without an observer this is the
-    incrementally maintained [n_fired] counter (O(1)); the full channel
-    scan only runs when an observer needs every fired channel. *)
-let count_transfers ?observer ~cycle t =
-  match observer with
-  | None -> t.n_fired
-  | Some f ->
-      let n = ref 0 in
-      Graph.iter_channels t.g (fun c ->
-          if fired t c.Graph.id then begin
-            incr n;
-            f cycle c t.cdata.(c.Graph.id)
-          end);
-      !n
-
 (** Channels currently presenting a token that the consumer refuses:
     diagnostic for deadlock reports. *)
 let stalled_channels t =
@@ -1452,10 +1437,7 @@ let chaos_prologue t ch ~cycle ~quiet =
     [max_cycles].  Shared verbatim between {!run} (create-then-run) and
     {!run_image} (instantiate-a-cached-template-then-run), so both paths
     are cycle-for-cycle the same simulation. *)
-let run_created ?(max_cycles = 2_000_000) ?(poll_every = deadline_poll_period)
-    ?deadline ?observer ?monitor t =
-  if poll_every < 1 then
-    invalid_arg (Fmt.str "Engine.run: poll_every %d < 1" poll_every);
+let run_created ?(max_cycles = 2_000_000) ?deadline ?monitor t =
   Fun.protect ~finally:(fun () -> release_arena t) @@ fun () ->
   (* The dirty channel set is only maintained for monitored runs: the
      sanitizers consume it, nothing else does. *)
@@ -1472,10 +1454,11 @@ let run_created ?(max_cycles = 2_000_000) ?(poll_every = deadline_poll_period)
   Array.iter (fun u -> enqueue t u) t.live_units;
   while !finished = None do
     (* Cooperative watchdog: poll the wall-clock budget every
-       [poll_every] cycles (cycle 0 included, so a fire-immediately
-       deadline interrupts deterministically before any work happens). *)
+       [deadline_poll_period] cycles (cycle 0 included, so a
+       fire-immediately deadline interrupts deterministically before any
+       work happens). *)
     (match deadline with
-    | Some d when !cycle mod poll_every = 0 && d () ->
+    | Some d when !cycle mod deadline_poll_period = 0 && d () ->
         raise (Timeout { cycles = !cycle })
     | _ -> ());
     if !cycle >= max_cycles then finished := Some (Out_of_fuel max_cycles)
@@ -1492,7 +1475,7 @@ let run_created ?(max_cycles = 2_000_000) ?(poll_every = deadline_poll_period)
       (match t.sink with
       | Some f -> emit_channel_events t ~cycle:!cycle f
       | None -> ());
-      let moved_tokens = count_transfers ?observer ~cycle:!cycle t in
+      let moved_tokens = t.n_fired in
       t.transfers <- t.transfers + moved_tokens;
       let state_changed = ref false in
       (* Walk the stateful units in fixed order, but only step the
@@ -1558,10 +1541,9 @@ let run_created ?(max_cycles = 2_000_000) ?(poll_every = deadline_poll_period)
     quiescence without completion is a deadlock.  [chaos] perturbs the
     run adversarially (see {!Chaos}); a valid elastic circuit must
     produce the same exit values and still complete under any seed. *)
-let run ?max_cycles ?poll_every ?deadline ?observer ?monitor ?chaos ?memory
-    ?sink g =
+let run ?max_cycles ?deadline ?monitor ?chaos ?memory ?sink g =
   let t = create ?chaos ?memory ?sink g in
-  run_created ?max_cycles ?poll_every ?deadline ?observer ?monitor t
+  run_created ?max_cycles ?deadline ?monitor t
 
 (* ------------------------------------------------------------------ *)
 (* Compiled execution images                                           *)
@@ -1693,10 +1675,9 @@ let instantiate ?memory ?sink { i_tpl = p; i_scratch } =
     arena;
   }
 
-let run_image ?max_cycles ?poll_every ?deadline ?observer ?monitor ?memory
-    ?sink img =
+let run_image ?max_cycles ?deadline ?monitor ?memory ?sink img =
   let t = instantiate ?memory ?sink img in
-  run_created ?max_cycles ?poll_every ?deadline ?observer ?monitor t
+  run_created ?max_cycles ?deadline ?monitor t
 
 let memory_of outcome = outcome.sim.memory
 
@@ -1821,7 +1802,7 @@ let pipeline_fill t uid =
   !n
 
 let pp_status ppf = function
-  | Completed c -> Fmt.pf ppf "completed in %d cycles" c
+  | Completed c -> Fmt.pf ppf "completed at cycle %d" c
   | Deadlock c -> Fmt.pf ppf "DEADLOCK at cycle %d" c
   | Out_of_fuel budget -> Fmt.pf ppf "out of fuel (budget %d)" budget
 

@@ -17,7 +17,9 @@
     notion of deadlock as an unperturbed run. *)
 
 type status =
-  | Completed of int   (** cycle of the last event *)
+  | Completed of int
+      (** cycle of the last event; the run took one more cycle than
+          this, which is what [stats.cycles] counts *)
   | Deadlock of int    (** cycle at which the circuit wedged *)
   | Out_of_fuel of int (** the fuel budget that elapsed without quiescence *)
 
@@ -71,8 +73,7 @@ type sink = event -> unit
     deterministic predicate interrupts at a deterministic cycle. *)
 exception Timeout of { cycles : int }
 
-(** Default poll period (in cycles) of the cooperative deadline check;
-    override per run with {!run}'s [poll_every]. *)
+(** Poll period (in cycles) of the cooperative deadline check. *)
 val deadline_poll_period : int
 
 type stats = {
@@ -104,28 +105,23 @@ type monitor_phase = After_settle | After_step
 (** [run g] simulates until quiescence or [max_cycles].  Completion means
     every Exit unit received a token before the circuit went quiet.
     [memory] provides pre-initialized array contents (default: zeroed
-    memories sized from the graph's declarations).  [observer] is called
-    for every fired channel with (cycle, channel, payload).  [chaos]
-    switches on adversarial perturbation (see {!Chaos}); a valid elastic
-    circuit must produce the same exit values and still complete under
-    every chaos seed.  [deadline] is the per-job watchdog: a predicate
-    polled every [poll_every] cycles (default
-    {!deadline_poll_period}) that returns [true] when the job's
-    wall-clock budget is exhausted; it is additionally polled inside the
-    combinational settle fixpoint (every 1024 unit evaluations), so even
-    a pathologically long single-cycle settle is interrupted
-    cooperatively.  [sink] attaches the observability event stream (see
-    {!type:event}); a run without one is bit-identical to a run of the
-    pre-observability engine.
+    memories sized from the graph's declarations).  [chaos] switches on
+    adversarial perturbation (see {!Chaos}); a valid elastic circuit
+    must produce the same exit values and still complete under every
+    chaos seed.  [deadline] is the per-job watchdog: a predicate polled
+    every {!deadline_poll_period} cycles that returns [true] when the
+    job's wall-clock budget is exhausted; it is additionally polled
+    inside the combinational settle fixpoint (every 1024 unit
+    evaluations), so even a pathologically long single-cycle settle is
+    interrupted cooperatively.  [sink] attaches the observability event
+    stream (see {!type:event}); a run without one is bit-identical to a
+    run of the pre-observability engine.
 
     @raise Timeout if [deadline] fires.
-    @raise Invalid_argument if [poll_every < 1].
     @raise Dataflow.Validate.Invalid if the graph fails validation. *)
 val run :
   ?max_cycles:int ->
-  ?poll_every:int ->
   ?deadline:(unit -> bool) ->
-  ?observer:(int -> Dataflow.Graph.channel -> Dataflow.Types.value -> unit) ->
   ?monitor:(t -> cycle:int -> monitor_phase -> unit) ->
   ?chaos:Chaos.config ->
   ?memory:Memory.t ->
@@ -162,13 +158,10 @@ val image_bytes : image -> int
 
 (** Exactly {!run} minus [chaos], over a pre-compiled image.  [memory]
     defaults to fresh zeroed memories sized from the graph.
-    @raise Timeout if [deadline] fires.
-    @raise Invalid_argument if [poll_every < 1]. *)
+    @raise Timeout if [deadline] fires. *)
 val run_image :
   ?max_cycles:int ->
-  ?poll_every:int ->
   ?deadline:(unit -> bool) ->
-  ?observer:(int -> Dataflow.Graph.channel -> Dataflow.Types.value -> unit) ->
   ?monitor:(t -> cycle:int -> monitor_phase -> unit) ->
   ?memory:Memory.t ->
   ?sink:sink ->

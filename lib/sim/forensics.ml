@@ -306,22 +306,26 @@ type livelock = {
   total_transfers : int;
 }
 
+(** How many final cycles of an out-of-fuel run count as "recent". *)
+let livelock_window = 64
+
 (** An out-of-fuel run is not quiesced, so the wait-for analysis does
     not apply; what is diagnosable instead is {e who is still moving}.
     The snapshot lists every unit whose sequential state changed during
-    the last [window] cycles of the run, most recently active first,
-    with the same live-state annotations (credits, buffer occupancy,
-    pipeline fill) as deadlock cores — a tight recent set around a loop
-    with no exit progress reads as a token-recirculation livelock, while
-    "everything is firing" reads as an honest too-small fuel budget. *)
-let analyze_livelock ?(window = 64) (outcome : Engine.outcome) =
+    the last {!livelock_window} cycles of the run, most recently active
+    first, with the same live-state annotations (credits, buffer
+    occupancy, pipeline fill) as deadlock cores — a tight recent set
+    around a loop with no exit progress reads as a token-recirculation
+    livelock, while "everything is firing" reads as an honest too-small
+    fuel budget. *)
+let analyze_livelock (outcome : Engine.outcome) =
   match outcome.Engine.stats.Engine.status with
   | Engine.Completed _ | Engine.Deadlock _ -> None
   | Engine.Out_of_fuel fuel ->
       let sim = outcome.Engine.sim in
       let g = Engine.graph_of sim in
       let final_cycle = outcome.Engine.stats.Engine.cycles - 1 in
-      let cutoff = final_cycle - window + 1 in
+      let cutoff = final_cycle - livelock_window + 1 in
       let recent =
         Graph.fold_units g
           (fun acc u ->
@@ -345,7 +349,7 @@ let analyze_livelock ?(window = 64) (outcome : Engine.outcome) =
       Some
         {
           fuel;
-          window;
+          window = livelock_window;
           final_cycle;
           recent;
           exit_tokens =

@@ -107,8 +107,8 @@ type livelock = {
 }
 
 (** [Some snapshot] when the outcome is [Out_of_fuel], [None] otherwise.
-    [window] defaults to 64 cycles. *)
-val analyze_livelock : ?window:int -> Engine.outcome -> livelock option
+    The window is the run's last 64 cycles. *)
+val analyze_livelock : Engine.outcome -> livelock option
 
 val pp_livelock : livelock Fmt.t
 

@@ -19,12 +19,10 @@
 open Dataflow
 open Types
 
-type config = {
-  stall_threshold : int;
-  check_priority : bool;
-}
-
-let default = { stall_threshold = 8; check_priority = true }
+(** Consecutive valid-and-not-ready cycles on one channel before the
+    wait-cycle probe runs.  The probe is sound at any threshold; this
+    only sets how often it runs. *)
+let stall_threshold = 8
 
 type violation = {
   cycle : int;
@@ -57,7 +55,6 @@ let fail ~cycle ~unit_label ~invariant detail =
 type state = {
   sim : Engine.t;
   g : Graph.t;
-  cfg : config;
   chaos : bool;
   raw : Engine.raw;
       (** direct view of the engine's signal/state arrays — the hot
@@ -158,7 +155,7 @@ let out_cid g uid p =
   | Some c -> c.Graph.id
   | None -> -1
 
-let init cfg sim =
+let init sim =
   let g = Engine.graph_of sim in
   let n_units = max 1 g.Graph.n_units in
   let n_channels = max 1 g.Graph.n_channels in
@@ -278,7 +275,6 @@ let init cfg sim =
   {
     sim;
     g;
-    cfg;
     chaos = Engine.has_chaos sim;
     raw = Engine.raw sim;
     j_uid = Array.map fst joins;
@@ -384,7 +380,7 @@ let touch_signals s ~cycle cid ~valid ~ready =
         s.stalled_list.(s.stalled_n) <- cid;
         s.stalled_pos.(cid) <- s.stalled_n;
         s.stalled_n <- s.stalled_n + 1;
-        let due = cycle + s.cfg.stall_threshold - 1 in
+        let due = cycle + stall_threshold - 1 in
         if due < s.next_trigger then s.next_trigger <- due
       end
       else begin
@@ -555,7 +551,7 @@ let check_arbiters s ~cycle =
              (if o0 then "fires" else "holds")
              (if o1 then "fires" else "holds"));
       if
-        !granted_n = 1 && s.cfg.check_priority && (not s.chaos)
+        !granted_n = 1 && (not s.chaos)
         && Array.length s.a_order.(a) > 0
       then begin
         (* Walk the declared order down to the granted input; any valid
@@ -634,7 +630,7 @@ let check_wait_cycles s ~cycle =
      exact earliest due cycle (members that left the set since the
      bound was set can only have delayed it). *)
   if (not !trigger) && cycle >= s.next_trigger then begin
-    let thr = s.cfg.stall_threshold in
+    let thr = stall_threshold in
     let due = ref max_int in
     for i = 0 to s.stalled_n - 1 do
       let d = s.stall_start.(s.stalled_list.(i)) + thr - 1 in
@@ -677,7 +673,7 @@ let check_wait_cycles s ~cycle =
           for i = 0 to s.stalled_n - 1 do
             s.stall_start.(s.stalled_list.(i)) <- cycle + 1
           done;
-          s.next_trigger <- cycle + s.cfg.stall_threshold
+          s.next_trigger <- cycle + stall_threshold
     end
     else begin
       (* Clean probe: re-arm.  Every member's streak restarts, as the
@@ -686,7 +682,7 @@ let check_wait_cycles s ~cycle =
       for i = 0 to s.stalled_n - 1 do
         s.stall_start.(s.stalled_list.(i)) <- cycle + 1
       done;
-      s.next_trigger <- cycle + s.cfg.stall_threshold
+      s.next_trigger <- cycle + stall_threshold
     end
   end
 
@@ -855,7 +851,7 @@ let arbiter_violates s a =
   || o0 <> o1
   || (!granted_n > 0 && not o0)
   || (!granted_n = 0 && o0)
-  || (!granted_n = 1 && s.cfg.check_priority && (not s.chaos)
+  || (!granted_n = 1 && (not s.chaos)
      && Array.length s.a_order.(a) > 0
      &&
      let order = s.a_order.(a) in
@@ -1008,14 +1004,14 @@ let after_step s ~cycle =
     refresh_pre_hot s
   end
 
-let monitor ?(config = default) () =
+let monitor () =
   let st = ref None in
   fun sim ~cycle phase ->
     let s =
       match !st with
       | Some s -> s
       | None ->
-          let s = init config sim in
+          let s = init sim in
           st := Some s;
           s
     in

@@ -40,19 +40,6 @@
     [crush sanitize] expects {e zero} violations across every kernel,
     strategy and chaos seed. *)
 
-type config = {
-  stall_threshold : int;
-      (** consecutive valid-and-not-ready cycles on one channel before
-          the wait-cycle probe runs (the probe is sound at any
-          threshold; this is purely a probing-frequency knob) *)
-  check_priority : bool;
-      (** check strict priority-order compliance (self-disables under
-          chaos, where the tie-break is legitimately permuted) *)
-}
-
-(** [stall_threshold = 8], priority checking on. *)
-val default : config
-
 type violation = {
   cycle : int;        (** cycle at which the invariant broke *)
   unit_label : string;  (** offending unit (or ["<engine>"]) *)
@@ -69,6 +56,5 @@ val pp_violation : violation Fmt.t
     so one closure serves exactly one run.  Raises {!Violation} from
     inside the run loop on the first broken invariant. *)
 val monitor :
-  ?config:config ->
   unit ->
   Engine.t -> cycle:int -> Engine.monitor_phase -> unit

@@ -346,18 +346,6 @@ let test_buffer_sizing_shrinks () =
   checkb "slots removed" (removed > 0);
   ignore (run_ok g)
 
-let test_retime_cuts_offring () =
-  let c = compile Kernels.Registry.mm3.Kernels.Registry.source in
-  let g = c.Minic.Codegen.graph in
-  let before = Analysis.Timing.critical_path g in
-  let inserted = Analysis.Retime.cut g ~target_ns:2.0 in
-  let after = Analysis.Timing.critical_path g in
-  checkb "registers inserted" (inserted > 0);
-  checkb "CP not increased" (after <= before +. 0.01);
-  (* the retimed circuit still simulates correctly *)
-  let v = Kernels.Harness.run_circuit Kernels.Registry.mm3 g in
-  checkb "still correct" v.Kernels.Harness.functionally_correct
-
 let suite =
   [
     ("scc: simple cycle", `Quick, test_scc_simple_cycle);
@@ -384,7 +372,6 @@ let suite =
     ("timing: comb cycle", `Quick, test_cp_detects_comb_cycle);
     ("timing: sharing adds CP", `Quick, test_sharing_increases_cp);
     ("sizing: shrinks", `Quick, test_buffer_sizing_shrinks);
-    ("retime: cuts off-ring paths", `Slow, test_retime_cuts_offring);
     ("cfc: one pass = per-loop scan, kernels", `Quick, test_one_pass_kernels);
     ("cfc: one pass = per-loop scan, gesummv x3-x25", `Slow, test_one_pass_gesummv);
   ]

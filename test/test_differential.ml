@@ -6,7 +6,10 @@
     perturbation counters, the full observability event stream and the
     sanitizer verdicts (invariant, cycle, unit, detail) must all match
     the oracle on every kernel, technique, chaos seed, paper example,
-    fault injection and random circuit below. *)
+    fault injection and random circuit below.  Every unperturbed case
+    runs the rewrite twice, once by {!Sim.Engine.run} and once by
+    {!Sim.Engine.run_image} over a compiled image (the path the serve
+    tiers take), and holds both to the oracle. *)
 
 open Helpers
 
@@ -49,11 +52,15 @@ let rewrite_sink d : Sim.Engine.sink = function
    filled memories, attached event sinks; every observable of the two
    runs must agree. *)
 
+let status_of_oracle : Oracle_engine.status -> Sim.Engine.status = function
+  | Oracle_engine.Completed c -> Sim.Engine.Completed c
+  | Oracle_engine.Deadlock c -> Sim.Engine.Deadlock c
+  | Oracle_engine.Out_of_fuel c -> Sim.Engine.Out_of_fuel c
+
 let check_stats name (o : Oracle_engine.stats) (r : Sim.Engine.stats) =
-  Alcotest.(check string)
+  checkb
     (name ^ ": status")
-    (Fmt.str "%a" Oracle_engine.pp_status o.Oracle_engine.status)
-    (Fmt.str "%a" Sim.Engine.pp_status r.Sim.Engine.status);
+    (status_of_oracle o.Oracle_engine.status = r.Sim.Engine.status);
   checki (name ^ ": cycles") o.Oracle_engine.cycles r.Sim.Engine.cycles;
   checki (name ^ ": transfers") o.Oracle_engine.transfers
     r.Sim.Engine.transfers;
@@ -64,23 +71,46 @@ let check_stats name (o : Oracle_engine.stats) (r : Sim.Engine.stats) =
     (name ^ ": perturbation counters")
     (o.Oracle_engine.perturbations = r.Sim.Engine.perturbations)
 
+(** Run [g] on the oracle and on the rewrite, the latter by
+    {!Sim.Engine.run} and, when unperturbed, also by
+    {!Sim.Engine.run_image}.  Returns the oracle's memory and one memory
+    per rewrite run. *)
 let diff_run ?(name = "circuit") ?chaos ?(max_cycles = 2_000_000)
     ?(fill = fun (_ : Sim.Memory.t) -> ()) g =
-  let mem_o = Sim.Memory.of_graph g and mem_r = Sim.Memory.of_graph g in
-  fill mem_o;
-  fill mem_r;
-  let do_ = fresh_digest () and dr = fresh_digest () in
+  let fresh () =
+    let m = Sim.Memory.of_graph g in
+    fill m;
+    m
+  in
+  let mem_o = fresh () and do_ = fresh_digest () in
   let out_o =
     Oracle_engine.run ~max_cycles ?chaos ~memory:mem_o ~sink:(oracle_sink do_)
       g
   in
-  let out_r =
-    Sim.Engine.run ~max_cycles ?chaos ~memory:mem_r ~sink:(rewrite_sink dr) g
+  let check path run =
+    let memory = fresh () and dr = fresh_digest () in
+    let out_r = run ~memory ~sink:(rewrite_sink dr) in
+    let name = name ^ path in
+    check_stats name out_o.Oracle_engine.stats out_r.Sim.Engine.stats;
+    checki (name ^ ": event count") do_.n dr.n;
+    checki (name ^ ": event digest") do_.h dr.h;
+    memory
   in
-  check_stats name out_o.Oracle_engine.stats out_r.Sim.Engine.stats;
-  checki (name ^ ": event count") do_.n dr.n;
-  checki (name ^ ": event digest") do_.h dr.h;
-  (mem_o, mem_r)
+  let mem_r =
+    check "" (fun ~memory ~sink ->
+        Sim.Engine.run ~max_cycles ?chaos ~memory ~sink g)
+  in
+  let mem_i =
+    match chaos with
+    | Some _ -> []
+    | None ->
+        let image = Sim.Engine.image g in
+        [
+          check "/image" (fun ~memory ~sink ->
+              Sim.Engine.run_image ~max_cycles ~memory ~sink image);
+        ]
+  in
+  (mem_o, mem_r :: mem_i)
 
 (* ------------------------------------------------------------------ *)
 (* Kernels: every benchmark x every technique, then every benchmark
@@ -118,15 +148,18 @@ let kernel_diff (bench : Kernels.Registry.bench) transform ?chaos_seed () =
       Fmt.(option (fmt "/seed%d"))
       chaos_seed
   in
-  let mem_o, mem_r = diff_run ~name ?chaos ~fill g in
+  let mem_o, mem_rs = diff_run ~name ?chaos ~fill g in
   (* Result arrays must match float-for-float, not just within the
      harness tolerance. *)
   List.iter
-    (fun (arr, _) ->
-      checkb
-        (name ^ ": memory " ^ arr)
-        (Sim.Memory.get_floats mem_o arr = Sim.Memory.get_floats mem_r arr))
-    bench.Kernels.Registry.arrays
+    (fun mem_r ->
+      List.iter
+        (fun (arr, _) ->
+          checkb
+            (name ^ ": memory " ^ arr)
+            (Sim.Memory.get_floats mem_o arr = Sim.Memory.get_floats mem_r arr))
+        bench.Kernels.Registry.arrays)
+    mem_rs
 
 let kernel_cases =
   List.concat_map
@@ -179,13 +212,22 @@ let oracle_violation ?(max_cycles = 100_000) g =
   | (_ : Oracle_engine.outcome) -> None
   | exception Oracle_sanitizer.Violation v -> Some v
 
-let rewrite_violation ?(max_cycles = 100_000) g =
-  let memory = Sim.Memory.of_graph g in
-  match
-    Sim.Engine.run ~max_cycles ~memory ~monitor:(Sim.Sanitizer.monitor ()) g
-  with
-  | (_ : Sim.Engine.outcome) -> None
-  | exception Sim.Sanitizer.Violation v -> Some v
+(* The rewrite's verdict by [Sim.Engine.run] and by [run_image]. *)
+let rewrite_violations ?(max_cycles = 100_000) g =
+  let verdict run =
+    match
+      run ~memory:(Sim.Memory.of_graph g) ~monitor:(Sim.Sanitizer.monitor ())
+    with
+    | (_ : Sim.Engine.outcome) -> None
+    | exception Sim.Sanitizer.Violation v -> Some v
+  in
+  let image = Sim.Engine.image g in
+  [
+    ("", verdict (fun ~memory ~monitor ->
+         Sim.Engine.run ~max_cycles ~memory ~monitor g));
+    ("/image", verdict (fun ~memory ~monitor ->
+         Sim.Engine.run_image ~max_cycles ~memory ~monitor image));
+  ]
 
 let test_fault fault () =
   let name = Crush.Faults.describe fault in
@@ -193,14 +235,22 @@ let test_fault fault () =
   (* Unmonitored: identical deadlock. *)
   ignore (diff_run ~name ~max_cycles:100_000 g);
   (* Monitored: identical verdict. *)
-  match (oracle_violation g, rewrite_violation g) with
-  | Some ov, Some rv ->
-      Alcotest.(check string)
-        (name ^ ": verdict")
-        (Fmt.str "%a" Oracle_sanitizer.pp_violation ov)
-        (Fmt.str "%a" Sim.Sanitizer.pp_violation rv)
-  | None, _ -> Alcotest.failf "%s: oracle sanitizer stayed silent" name
-  | _, None -> Alcotest.failf "%s: rewrite sanitizer stayed silent" name
+  let ov =
+    match oracle_violation g with
+    | Some ov -> ov
+    | None -> Alcotest.failf "%s: oracle sanitizer stayed silent" name
+  in
+  List.iter
+    (fun (path, rv) ->
+      match rv with
+      | Some rv ->
+          Alcotest.(check string)
+            (name ^ path ^ ": verdict")
+            (Fmt.str "%a" Oracle_sanitizer.pp_violation ov)
+            (Fmt.str "%a" Sim.Sanitizer.pp_violation rv)
+      | None ->
+          Alcotest.failf "%s%s: rewrite sanitizer stayed silent" name path)
+    (rewrite_violations g)
 
 (* Clean circuits: both sanitizers must stay silent (and not perturb
    the run) on a CRUSH-shared kernel. *)
@@ -215,17 +265,27 @@ let test_sanitizer_silence () =
   let fill m =
     Hashtbl.iter (fun arr data -> Sim.Memory.set_floats m arr data) inputs
   in
-  let mem_o = Sim.Memory.of_graph g and mem_r = Sim.Memory.of_graph g in
-  fill mem_o;
-  fill mem_r;
+  let fresh () =
+    let m = Sim.Memory.of_graph g in
+    fill m;
+    m
+  in
   let out_o =
-    Oracle_engine.run ~memory:mem_o ~monitor:(Oracle_sanitizer.monitor ()) g
+    Oracle_engine.run ~memory:(fresh ()) ~monitor:(Oracle_sanitizer.monitor ())
+      g
   in
   let out_r =
-    Sim.Engine.run ~memory:mem_r ~monitor:(Sim.Sanitizer.monitor ()) g
+    Sim.Engine.run ~memory:(fresh ()) ~monitor:(Sim.Sanitizer.monitor ()) g
+  in
+  let out_i =
+    Sim.Engine.run_image ~memory:(fresh ())
+      ~monitor:(Sim.Sanitizer.monitor ())
+      (Sim.Engine.image g)
   in
   check_stats "syr2k/sanitized" out_o.Oracle_engine.stats
-    out_r.Sim.Engine.stats
+    out_r.Sim.Engine.stats;
+  check_stats "syr2k/sanitized/image" out_o.Oracle_engine.stats
+    out_i.Sim.Engine.stats
 
 (* ------------------------------------------------------------------ *)
 (* Probe self-consistency: the fast cycle-existence probe was rewritten

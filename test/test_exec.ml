@@ -208,21 +208,6 @@ let test_active_set_engine_pins () =
   checkb "fig5 completes" (match st with Sim.Engine.Completed _ -> true | _ -> false);
   checki "fig5 cycles" 193 cyc
 
-(** The observer path still sees every fired channel (it bypasses the
-    O(1) transfer counter), and both paths agree on the total. *)
-let test_observer_counts_match () =
-  let open Crush.Paper_examples in
-  let mk () =
-    let b = fig1 () in
-    share_pair b ~ops:[ b.m2; b.m3 ] `Credits
-  in
-  let seen = ref 0 in
-  let observed = Sim.Engine.run ~observer:(fun _ _ _ -> incr seen) (mk ()) in
-  let plain = Sim.Engine.run (mk ()) in
-  checki "observer fires = transfer count" observed.Sim.Engine.stats.Sim.Engine.transfers !seen;
-  checki "observer does not change totals" plain.Sim.Engine.stats.Sim.Engine.transfers
-    observed.Sim.Engine.stats.Sim.Engine.transfers
-
 (** An atax end-to-end pin: compile, CRUSH-share, simulate, verify —
     exact cycle count from the pre-overhaul engine. *)
 let test_kernel_cycle_pin () =
@@ -649,8 +634,6 @@ let suite =
       test_campaign_determinism;
     Alcotest.test_case "engine: active-set pins on paper examples" `Quick
       test_active_set_engine_pins;
-    Alcotest.test_case "engine: observer path counts agree" `Quick
-      test_observer_counts_match;
     Alcotest.test_case "engine: atax cycle pin" `Quick test_kernel_cycle_pin;
     test_isolation_property;
     Alcotest.test_case "engine: watchdog poll determinism" `Quick

@@ -82,16 +82,32 @@ let test_interp_errors () =
   bad "void f(float x) { }" []
 
 (* ------------------------------------------------------------------ *)
-(* Simulation statistics *)
+(* Simulation statistics: the Obs metrics pass on a verified run *)
+
+let measure (bench : Kernels.Registry.bench) g =
+  let m = Obs.Metrics.create g in
+  let out, _ =
+    Kernels.Harness.run_circuit_full ~sink:(Obs.Metrics.sink m) bench g
+  in
+  ( out,
+    Obs.Metrics.finish m ~kernel:bench.Kernels.Registry.name
+      ~total_cycles:out.Sim.Engine.stats.Sim.Engine.cycles )
+
+let unit_row (r : Obs.Metrics.report) uid =
+  List.find (fun (u : Obs.Metrics.unit_row) -> u.uid = uid) r.units
+
+let loop_ii (r : Obs.Metrics.report) loop =
+  match
+    List.find_opt (fun (l : Obs.Metrics.loop_row) -> l.loop_id = loop) r.loops
+  with
+  | Some l when l.iterations >= 2 -> Some l.measured_ii
+  | _ -> None
 
 let test_stats_counts_and_ii () =
   let bench = Kernels.Registry.find "gemm" in
   let c = compile bench.Kernels.Registry.source in
   let g = c.Minic.Codegen.graph in
-  let inputs = Kernels.Registry.fresh_inputs bench in
-  let memory = Sim.Memory.of_graph g in
-  Hashtbl.iter (fun n d -> Sim.Memory.set_floats memory n d) inputs;
-  let out, stats = Sim.Stats.collect ~memory g in
+  let out, report = measure bench g in
   checkb "completed" (Sim.Engine.is_completed out);
   (* The inner-loop fadd fires once per innermost iteration: N^3 times. *)
   let n = Kernels.Sources.gemm_n in
@@ -105,15 +121,16 @@ let test_stats_counts_and_ii () =
       []
   in
   (match fadds with
-  | [ fadd ] -> checki "N^3 accumulations" (n * n * n) (Sim.Stats.fires stats fadd)
+  | [ fadd ] ->
+      checki "N^3 accumulations" (n * n * n) (unit_row report fadd).fires
   | _ -> Alcotest.fail "expected one fadd");
   (* Measured inner-loop II agrees with the analytic bound (~9). *)
   let inner = List.hd c.Minic.Codegen.critical_loops in
-  (match Sim.Stats.loop_ii g stats inner with
+  (match loop_ii report inner with
   | Some ii -> checkb (Fmt.str "measured II ~ 9 (%.2f)" ii) (ii > 8.0 && ii < 11.0)
   | None -> Alcotest.fail "no measured II");
   (* Utilization of the single fadd is below 1 (it is shareable). *)
-  let u = Sim.Stats.utilization g stats (List.hd fadds) in
+  let u = (unit_row report (List.hd fadds)).utilization in
   checkb "fadd underutilized" (u > 0.0 && u < 1.0)
 
 let test_stats_measured_vs_analytic () =
@@ -121,16 +138,13 @@ let test_stats_measured_vs_analytic () =
   let bench = Kernels.Registry.find "atax" in
   let c = compile bench.Kernels.Registry.source in
   let g = c.Minic.Codegen.graph in
-  let inputs = Kernels.Registry.fresh_inputs bench in
-  let memory = Sim.Memory.of_graph g in
-  Hashtbl.iter (fun n d -> Sim.Memory.set_floats memory n d) inputs;
-  let _, stats = Sim.Stats.collect ~memory g in
+  let _, report = measure bench g in
   List.iter
     (fun loop ->
       let analytic =
         Option.get (Analysis.Cfc.ii_value (Analysis.Cfc.of_loop g loop))
       in
-      match Sim.Stats.loop_ii g stats loop with
+      match loop_ii report loop with
       | Some measured ->
           checkb
             (Fmt.str "loop %d: measured %.2f vs analytic %.2f" loop measured

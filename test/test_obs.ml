@@ -165,11 +165,20 @@ let check_loop ~iters ~measured ~assumed (l : Obs.Metrics.loop_row) =
   Alcotest.(check (option (float 1e-3)))
     (l.Obs.Metrics.header ^ " assumed II") assumed l.Obs.Metrics.assumed_ii
 
+(* Simulate [g] with the metrics pass attached; (cycles, report). *)
+let profile ~kernel g =
+  let m = Obs.Metrics.create g in
+  let stats = (Sim.Engine.run ~sink:(Obs.Metrics.sink m) g).Sim.Engine.stats in
+  let cycles = stats.Sim.Engine.cycles in
+  (cycles, Obs.Metrics.finish m ~kernel ~total_cycles:cycles)
+
 let test_ii_fig1 () =
   let built = Crush.Paper_examples.fig1 () in
-  let res = Obs.Profile.run ~kernel:"fig1" built.Crush.Paper_examples.graph in
-  checki "fig1 cycles" 155 res.Obs.Profile.stats.Sim.Engine.cycles;
-  match res.Obs.Profile.report.Obs.Metrics.loops with
+  let cycles, report =
+    profile ~kernel:"fig1" built.Crush.Paper_examples.graph
+  in
+  checki "fig1 cycles" 155 cycles;
+  match report.Obs.Metrics.loops with
   | [ l ] -> check_loop ~iters:65 ~measured:2.328125 ~assumed:(Some 2.0) l
   | ls -> Alcotest.failf "fig1: expected 1 loop row, got %d" (List.length ls)
 
@@ -180,9 +189,9 @@ let test_ii_fig2 () =
       ~ops:[ built.Crush.Paper_examples.m1; built.Crush.Paper_examples.m3 ]
       (`Priority [ 0; 1 ])
   in
-  let res = Obs.Profile.run ~kernel:"fig2" g in
-  checki "fig2 cycles" 136 res.Obs.Profile.stats.Sim.Engine.cycles;
-  match res.Obs.Profile.report.Obs.Metrics.loops with
+  let cycles, report = profile ~kernel:"fig2" g in
+  checki "fig2 cycles" 136 cycles;
+  match report.Obs.Metrics.loops with
   | [ l ] ->
       (* naive sharing breaks the CFC bound (assumed II unbounded) but
          the header still sustains ~2 cycles per iteration *)
@@ -191,20 +200,15 @@ let test_ii_fig2 () =
 
 let test_ii_atax () =
   let bench = Kernels.Registry.find "atax" in
-  let metrics = ref None in
-  let _, verdict =
-    Kernels.Harness.compile_and_run
-      ~transform:(fun c ->
-        metrics := Some (Obs.Metrics.create c.Minic.Codegen.graph);
-        c)
-      ~sink:(fun ev ->
-        match !metrics with Some m -> Obs.Metrics.sink m ev | None -> ())
-      bench
+  let g = (compile bench.Kernels.Registry.source).Minic.Codegen.graph in
+  let metrics = Obs.Metrics.create g in
+  let verdict =
+    Kernels.Harness.run_circuit ~sink:(Obs.Metrics.sink metrics) bench g
   in
   checkb "atax functionally correct" verdict.Kernels.Harness.functionally_correct;
   checki "atax cycles" 4864 verdict.Kernels.Harness.cycles;
   let report =
-    Obs.Metrics.finish (Option.get !metrics) ~kernel:"atax"
+    Obs.Metrics.finish metrics ~kernel:"atax"
       ~total_cycles:verdict.Kernels.Harness.cycles
   in
   let find_loop id =
@@ -233,8 +237,8 @@ let test_sink_transparent_fig1 () =
 let test_sink_transparent_atax () =
   let bench = Kernels.Registry.find "atax" in
   let run sink =
-    let _, v = Kernels.Harness.compile_and_run ?sink bench in
-    v
+    Kernels.Harness.run_circuit ?sink bench
+      (compile bench.Kernels.Registry.source).Minic.Codegen.graph
   in
   let bare = run None in
   let traced = run (Some (fun _ -> ())) in
@@ -268,15 +272,25 @@ let cli () =
   List.find Sys.file_exists
     [ "../bin/crush_cli.exe"; "_build/default/bin/crush_cli.exe" ]
 
-let run_cli args =
+let slurp path =
+  let ic = open_in_bin path in
+  let text = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Sys.remove path;
+  text
+
+(** Run the CLI; returns (exit code, stdout, stderr). *)
+let run_cli_out args =
+  let out = Filename.temp_file "crush_cli" ".out" in
   let err = Filename.temp_file "crush_cli" ".err" in
   let code =
-    Sys.command (Printf.sprintf "%s %s >/dev/null 2>%s" (cli ()) args err)
+    Sys.command (Printf.sprintf "%s %s >%s 2>%s" (cli ()) args out err)
   in
-  let ic = open_in_bin err in
-  let stderr = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  Sys.remove err;
+  let stdout = slurp out in
+  (code, stdout, slurp err)
+
+let run_cli args =
+  let code, _, stderr = run_cli_out args in
   (code, stderr)
 
 let test_cli_exit_codes () =
@@ -299,6 +313,37 @@ let test_cli_usage_line () =
         (contains stderr "usage: crush COMMAND"))
     [ "definitely-not-a-command"; "run no-such-kernel" ]
 
+(* [crush stats] and [crush profile] print one measurement: for every
+   loop with a measured II (two or more header fires), both print the
+   same value. *)
+let test_cli_stats_matches_profile () =
+  let loops args parse =
+    let code, out, _ = run_cli_out args in
+    checki (args ^ " exits 0") 0 code;
+    List.filter_map parse (String.split_on_char '\n' out)
+  in
+  List.iter
+    (fun kernel ->
+      let stats_ii =
+        loops
+          (Fmt.str "stats %s --technique crush" kernel)
+          (fun line ->
+            Scanf.sscanf_opt line "loop %d: achieved II %s" (fun l ii ->
+                (l, ii)))
+      in
+      let profile_ii =
+        loops
+          (Fmt.str "profile %s --technique crush" kernel)
+          (fun line ->
+            Scanf.sscanf_opt line " loop %d header %s iters %d measured II %s"
+              (fun l _ iters ii -> if iters >= 2 then Some (l, ii) else None)
+            |> Option.join)
+      in
+      checkb (kernel ^ ": loops measured") (stats_ii <> []);
+      Alcotest.(check (list (pair int string)))
+        (kernel ^ ": stats and profile measured II") profile_ii stats_ii)
+    [ "gsum"; "atax" ]
+
 let suite =
   [
     Alcotest.test_case "ring: bounded, newest kept" `Quick test_ring_bounded;
@@ -316,4 +361,6 @@ let suite =
     Alcotest.test_case "Outcome exit-code table 10..16" `Quick test_outcome_exit_codes;
     Alcotest.test_case "CLI exit codes 0/2/125" `Slow test_cli_exit_codes;
     Alcotest.test_case "CLI usage line on stderr" `Slow test_cli_usage_line;
+    Alcotest.test_case "CLI stats = profile measured II" `Slow
+      test_cli_stats_matches_profile;
   ]

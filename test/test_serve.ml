@@ -545,6 +545,10 @@ let test_workers_prompt_release () =
       (match Serve.Workers.pids w with
       | pid :: _ -> Unix.kill pid Sys.sigkill
       | [] -> Alcotest.fail "no live worker to kill");
+      (* Let the kernel close the dead worker's pipes, so the next job's
+         send meets a broken pipe: that must classify as worker-lost,
+         not take this process down with SIGPIPE. *)
+      Unix.sleepf 0.1;
       let t0 = Unix.gettimeofday () in
       let slot = take () in
       let o, _ =
@@ -760,6 +764,55 @@ let test_daemon_end_to_end () =
       checki "drain workers" 0 d.Serve.Server.workers_alive;
       checkb "drain fds" true (d.Serve.Server.leaked_fds <= 0)
 
+(* One cold circuit is one image-cache miss.  The request's routing
+   probe counts it; priming the cache after the worker-tier run counts
+   nothing, so the next seed of the same circuit is the one hit. *)
+let test_image_cache_counts_once () =
+  let cfg =
+    {
+      (Serve.Server.default_config ~binary:Sys.executable_name) with
+      Serve.Server.workers = 1;
+      heartbeat_s = 0.0;
+      header_timeout_s = 1.0;
+    }
+  in
+  let t = Serve.Server.create cfg in
+  let port = Serve.Server.port t in
+  let th = Thread.create (fun () -> ignore (Serve.Server.run t)) () in
+  Fun.protect
+    ~finally:(fun () ->
+      Serve.Server.request_stop t;
+      Thread.join th)
+    (fun () ->
+      let int_at path =
+        let _, body = get ~port "/v1/stats" in
+        let rec go j = function
+          | [] -> J.to_int j
+          | k :: rest -> Option.bind (J.member k j) (fun j -> go j rest)
+        in
+        Option.value ~default:(-1) (go (parse_ok body) path)
+      in
+      let submit seed =
+        let s, j =
+          post ~port
+            (Fmt.str {|{"kernel":"gsum","seed":%d,"deadline_ms":10000}|} seed)
+        in
+        checki "status" 200 s;
+        Option.value ~default:"?" (str_field j "tier")
+      in
+      checks "cold run tier" "worker" (submit 1);
+      (* Priming runs after the response is on the wire; wait for it
+         through /v1/stats, which counts nothing. *)
+      let rec primed tries =
+        int_at [ "batch"; "primes" ] >= 1
+        || (tries > 0 && (Unix.sleepf 0.05; primed (tries - 1)))
+      in
+      checkb "image cache primed" true (primed 200);
+      checks "new seed runs on the batch tier" "batch" (submit 2);
+      checki "image-cache misses" 1 (int_at [ "image_cache"; "misses" ]);
+      checki "image-cache hits" 1 (int_at [ "image_cache"; "hits" ]);
+      checki "image-cache entries" 1 (int_at [ "image_cache"; "entries" ]))
+
 (* A kernel the frontend accepts but code generation refuses is the
    client's error, like a parse error: 400, not a 500 crash. *)
 let test_codegen_error_is_400 () =
@@ -805,5 +858,7 @@ let suite =
     Alcotest.test_case "workers: prompt release on loss" `Slow
       test_workers_prompt_release;
     Alcotest.test_case "daemon end-to-end" `Slow test_daemon_end_to_end;
+    Alcotest.test_case "image cache: one miss per cold circuit" `Slow
+      test_image_cache_counts_once;
     Alcotest.test_case "codegen error is a 400" `Quick test_codegen_error_is_400;
   ]

@@ -6,11 +6,11 @@
     dealing, the torn-line-tolerant last-write-wins journal merge (as a
     qcheck property against serial journal bytes), the [Worker_lost] /
     [Worker_killed] taxonomy additions, atomic report writes, the
-    reducer's wall-clock deadline, the engine's [poll_every] override —
-    and end-to-end supervised campaigns with {e real forked workers}:
-    clean runs byte-identical to serial, seeded chaos SIGKILLs
-    mid-sweep, a crashing worker, a hard hang preempted by the
-    heartbeat watchdog, and journal resume across runs.
+    reducer's wall-clock deadline — and end-to-end supervised campaigns
+    with {e real forked workers}: clean runs byte-identical to serial,
+    seeded chaos SIGKILLs mid-sweep, a crashing worker, a hard hang
+    preempted by the heartbeat watchdog, and journal resume across
+    runs.
 
     The test binary is its own worker: {!worker_main_if_requested} is
     called from [run_tests.ml] before alcotest parses argv. *)
@@ -392,25 +392,6 @@ let test_reduce_deadline_best_so_far () =
       | None -> Alcotest.fail "best-so-far no longer trips the invariant")
 
 (* ------------------------------------------------------------------ *)
-(* Engine poll_every override *)
-
-let test_engine_poll_every () =
-  let g () = (Crush.Paper_examples.fig1 ()).Crush.Paper_examples.graph in
-  let polls = ref 0 in
-  let deadline () =
-    incr polls;
-    !polls > 2
-  in
-  (match Sim.Engine.run ~poll_every:3 ~deadline (g ()) with
-  | _ -> Alcotest.fail "counting deadline did not interrupt"
-  | exception Sim.Engine.Timeout { cycles } ->
-      checki "third poll at cycle 2 * poll_every" 6 cycles);
-  checkb "poll_every < 1 rejected"
-    (match Sim.Engine.run ~poll_every:0 (g ()) with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
-
-(* ------------------------------------------------------------------ *)
 (* End to end: real forked workers *)
 
 let worker_args = [ "__worker"; "--kind"; "test" ]
@@ -628,8 +609,6 @@ let suite =
       test_write_atomic;
     Alcotest.test_case "reduce: deadline keeps the best-so-far" `Quick
       test_reduce_deadline_best_so_far;
-    Alcotest.test_case "engine: poll_every overrides the poll period" `Quick
-      test_engine_poll_every;
     Alcotest.test_case "e2e: sharded run bit-identical to serial + resume"
       `Quick test_e2e_clean_matches_serial;
     Alcotest.test_case "e2e: chaos kills mid-sweep stay bit-identical" `Quick
