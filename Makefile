@@ -3,7 +3,7 @@
 # kernels plus the fault-injection detection check, the sanitizer
 # smoke (faults convicted early, clean circuits silent), the bounded
 # simulation-throughput smoke bench with its regression gate, and the
-# correctness gates of the optimize benchmark workload.
+# correctness gates of the optimize and simulate benchmark workloads.
 
 DUNE ?= dune
 
@@ -65,12 +65,15 @@ sanitize-smoke: build
 bench-smoke: build
 	$(DUNE) exec bench/main.exe -- smoke --jobs 4
 
-# Correctness gates of the repository benchmark on its optimize
-# workload (held-out seed 2, short window, traced): exits 1 if a shared
-# circuit computes a wrong result or a group count changes between
-# rounds.  Its timings are printed, never gated.
+# Correctness gates of the repository benchmark on its optimize and
+# simulate workloads (held-out seed 2, short windows, traced): exits 1
+# if a shared circuit computes a wrong result, a group count changes
+# between rounds, or a sanitized run takes a different number of cycles
+# than the unmonitored run of the same image.  Timings (stage profile,
+# sanitizer overhead, cycles/s, minor words) are printed, never gated.
 perf-smoke: build
 	bash bench/perf/run.sh --workload optimize --seed 2 --seconds 2 --trace 1
+	bash bench/perf/run.sh --workload simulate --seed 2 --seconds 2 --trace 1
 
 # Serving-layer smoke: boot a private `crush serve` daemon, drive it
 # with concurrent clients over a mixed workload (cache hits/misses,

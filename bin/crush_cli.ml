@@ -102,11 +102,15 @@ let apply_technique technique (c : Minic.Codegen.compiled) =
 let list_cmd =
   let doc = "List the available benchmarks." in
   let run () =
+    (* One line per kernel: plain strings, no Format box to wrap. *)
     List.iter
       (fun (b : Kernels.Registry.bench) ->
-        Fmt.pr "%-10s arrays: %a@." b.Kernels.Registry.name
-          Fmt.(list ~sep:sp (pair ~sep:(any "[") string (int ++ any "]")))
-          b.Kernels.Registry.arrays)
+        print_endline
+          (Printf.sprintf "%-10s arrays: %s" b.Kernels.Registry.name
+             (String.concat " "
+                (List.map
+                   (fun (a, n) -> Printf.sprintf "%s[%d]" a n)
+                   b.Kernels.Registry.arrays))))
       Kernels.Registry.all
   in
   Cmd.v (Cmd.info "list" ~doc) Term.(const run $ const ())

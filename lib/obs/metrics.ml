@@ -354,16 +354,26 @@ let finish t ~kernel ~total_cycles =
       []
     |> List.rev
   in
+  let unit_ii (u : G.unit_node) =
+    measured_ii ~first:t.first_fire.(u.uid) ~last:t.last_fire.(u.uid)
+      ~fires:t.fires.(u.uid)
+  in
   let loops =
     List.filter_map
       (fun (cfc : Analysis.Cfc.t) ->
         let loop_id = cfc.loop_id in
-        (* prefer the loop-header mux; fall back to the loop's most
-           fired unit so untagged loops still get a row *)
+        (* the loop's header muxes each fire once per iteration; the
+           slowest one (largest mean interval, the last in unit order on
+           a tie) is the loop's II.  Untagged loops fall back to their
+           most fired unit so they still get a row. *)
         let header =
           G.fold_units t.g
             (fun acc (u : G.unit_node) ->
-              if u.loop = loop_id && u.loop_header then Some u else acc)
+              if u.loop <> loop_id || not u.loop_header then acc
+              else
+                match acc with
+                | Some (best : G.unit_node) when unit_ii best > unit_ii u -> acc
+                | _ -> Some u)
             None
         in
         let header =
@@ -384,15 +394,12 @@ let finish t ~kernel ~total_cycles =
         match header with
         | None -> None
         | Some u ->
-            let fires = t.fires.(u.uid) in
             Some
               {
                 loop_id;
                 header = u.label;
-                iterations = fires;
-                measured_ii =
-                  measured_ii ~first:t.first_fire.(u.uid)
-                    ~last:t.last_fire.(u.uid) ~fires;
+                iterations = t.fires.(u.uid);
+                measured_ii = unit_ii u;
                 assumed_ii = Analysis.Cfc.ii_value cfc;
               })
       (Analysis.Cfc.all t.g)

@@ -50,11 +50,18 @@ type buffer_row = {
   max_occ : int;
 }
 
+(** One CFG loop.  A loop can have several header muxes, each firing
+    once per iteration; the row reports the one with the largest mean
+    inter-fire interval (the last in unit order on a tie), and its II is
+    the loop's measured II.  A loop with no tagged header falls back to
+    its most fired unit. *)
 type loop_row = {
   loop_id : int;
-  header : string;           (** loop-header mux label *)
-  iterations : int;          (** header fire count *)
-  measured_ii : float;       (** mean inter-fire distance of the header; 0 if < 2 fires *)
+  header : string;           (** label of the reported header mux *)
+  iterations : int;          (** its fire count *)
+  measured_ii : float;
+      (** its mean inter-fire distance, the largest over the loop's
+          header muxes; 0 if < 2 fires *)
   assumed_ii : float option; (** CFC analysis bound; [None] if unbounded *)
 }
 

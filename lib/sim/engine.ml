@@ -745,11 +745,16 @@ let index_of_selector n v =
 
 (** Update the request flag of a memory-port client; when it changes, the
     whole port group is re-evaluated since the grant may move. *)
+let enqueue_group t group =
+  for i = 0 to Array.length group - 1 do
+    enqueue t (Array.unsafe_get group i)
+  done
+
 let set_requesting t u req =
   if bget t.requesting u <> req then begin
     bset t.requesting u req;
     let pi = t.port_idx.(u) in
-    if pi >= 0 then Array.iter (fun v -> enqueue t v) t.ports.(pi).group
+    if pi >= 0 then enqueue_group t t.ports.(pi).group
   end
 
 (** Round-robin grant: [u] wins its port when no requesting sibling comes
@@ -766,14 +771,14 @@ let granted t u =
     let base = p.rr + p.joff in
     let my = (t.port_pos.(u) - base + (2 * n)) mod n in
     let blocked = ref false in
-    Array.iter
-      (fun v ->
-        if
-          v <> u
-          && bget t.requesting v
-          && (t.port_pos.(v) - base + (2 * n)) mod n < my
-        then blocked := true)
-      p.group;
+    for i = 0 to n - 1 do
+      let v = Array.unsafe_get p.group i in
+      if
+        v <> u
+        && bget t.requesting v
+        && (t.port_pos.(v) - base + (2 * n)) mod n < my
+      then blocked := true
+    done;
     not !blocked
   end
 
@@ -783,7 +788,7 @@ let port_fired t u =
     let p = t.ports.(pi) in
     p.rr <- (t.port_pos.(u) + 1) mod Array.length p.group;
     (* The grant may move: re-evaluate every client next cycle. *)
-    Array.iter (fun v -> enqueue t v) p.group
+    enqueue_group t p.group
   end
 
 let all_inputs_valid t u n =
@@ -863,7 +868,12 @@ let eval_unit t u =
           match Array.length ki with
           | 0 -> VUnit
           | 1 -> in_data t u ki.(0)
-          | m -> VTuple (List.init m (fun i -> in_data t u ki.(i)))
+          | m ->
+              let l = ref [] in
+              for i = m - 1 downto 0 do
+                l := in_data t u ki.(i) :: !l
+              done;
+              VTuple !l
       in
       drive_out t u 0 ~valid:all ~data;
       let fire = all && out_ready t u 0 in
@@ -888,27 +898,31 @@ let eval_unit t u =
          re-drawn every cycle: any requesting input may win, which is a
          legal work-conserving arbitration — credits must keep it
          deadlock-free. *)
-      let grant =
-        match t.chaos with
-        | Some ch when not t.chaos_suspended ->
-            let order = Chaos.permute_priority ch ~uid:u t.prio_list.(u) in
-            let rec find = function
-              | [] -> -1
-              | p :: rest -> if in_valid t u p then p else find rest
-            in
-            find order
-        | _ ->
-            let order = t.prio_arr.(u) in
-            let n = Array.length order in
-            let rec find i =
-              if i >= n then -1
-              else
-                let p = Array.unsafe_get order i in
-                if in_valid t u p then p else find (i + 1)
-            in
-            find 0
-      in
-      arb_drive t u grant
+      let grant = ref (-1) in
+      (match t.chaos with
+      | Some ch when not t.chaos_suspended ->
+          let rest =
+            ref (Chaos.permute_priority ch ~uid:u t.prio_list.(u))
+          in
+          while !rest != [] do
+            match !rest with
+            | p :: tl ->
+                if in_valid t u p then begin
+                  grant := p;
+                  rest := []
+                end
+                else rest := tl
+            | [] -> ()
+          done
+      | _ ->
+          let order = t.prio_arr.(u) in
+          let i = ref 0 in
+          while !grant < 0 && !i < Array.length order do
+            let p = Array.unsafe_get order !i in
+            if in_valid t u p then grant := p;
+            incr i
+          done);
+      arb_drive t u !grant
   | 9 (* rotation arbiter *) ->
       (* Strict total order: only the operation whose turn it is may
          proceed (deadlock-prone, Figure 1d). *)
@@ -919,15 +933,14 @@ let eval_unit t u =
       (* Priority across clusters, strict rotation within one: the
          In-order baseline on whole programs. *)
       let cls = t.phased_cl.(u) and turns = t.phased_turns.(u) in
-      let n = Array.length cls in
-      let rec scan i =
-        if i >= n then -1
-        else
-          let cl = cls.(i) in
-          let p = cl.(turns.(i) mod Array.length cl) in
-          if in_valid t u p then p else scan (i + 1)
-      in
-      arb_drive t u (scan 0)
+      let grant = ref (-1) and i = ref 0 in
+      while !grant < 0 && !i < Array.length cls do
+        let cl = cls.(!i) in
+        let p = cl.(turns.(!i) mod Array.length cl) in
+        if in_valid t u p then grant := p;
+        incr i
+      done;
+      arb_drive t u !grant
   | 11 (* mux *) ->
       let inputs = t.u_n.(u) in
       let sel_v = in_valid t u 0 in
@@ -1267,12 +1280,14 @@ let step_unit t u =
       done;
       if !fired_port >= 0 then begin
         let cls = t.phased_cl.(u) and turns = t.phased_turns.(u) in
-        Array.iteri
-          (fun i cl ->
-            let mem = ref false in
-            Array.iter (fun p -> if p = !fired_port then mem := true) cl;
-            if !mem then turns.(i) <- (turns.(i) + 1) mod Array.length cl)
-          cls;
+        for i = 0 to Array.length cls - 1 do
+          let cl = cls.(i) in
+          let mem = ref false in
+          for k = 0 to Array.length cl - 1 do
+            if cl.(k) = !fired_port then mem := true
+          done;
+          if !mem then turns.(i) <- (turns.(i) + 1) mod Array.length cl
+        done;
         true
       end
       else false
@@ -1426,12 +1441,12 @@ let chaos_prologue t ch ~cycle ~quiet =
         in
         if off <> p.joff then begin
           p.joff <- off;
-          Array.iter (fun u -> enqueue t u) p.group
+          enqueue_group t p.group
         end)
       t.ports;
   (* The tie-break permutation is a fresh function of the cycle, so
      every priority arbiter must be re-evaluated every cycle. *)
-  if t.chaos_permute then Array.iter (fun u -> enqueue t u) t.chaos_arbiters
+  if t.chaos_permute then enqueue_group t t.chaos_arbiters
 
 (** Simulate an already-created execution image until quiescence or
     [max_cycles].  Shared verbatim between {!run} (create-then-run) and
@@ -1451,7 +1466,7 @@ let run_created ?(max_cycles = 2_000_000) ?deadline ?monitor t =
   let quiet = ref 0 in
   let last_event = ref (-1) in
   let finished = ref None in
-  Array.iter (fun u -> enqueue t u) t.live_units;
+  enqueue_group t t.live_units;
   while !finished = None do
     (* Cooperative watchdog: poll the wall-clock budget every
        [deadline_poll_period] cycles (cycle 0 included, so a
@@ -1679,8 +1694,6 @@ let run_image ?max_cycles ?deadline ?monitor ?memory ?sink img =
   let t = instantiate ?memory ?sink img in
   run_created ?max_cycles ?deadline ?monitor t
 
-let memory_of outcome = outcome.sim.memory
-
 (* ------------------------------------------------------------------ *)
 (* Post-mortem state accessors (for {!Forensics})                      *)
 
@@ -1695,6 +1708,7 @@ type raw = {
   raw_data : value array;
   raw_credit : int array;
   raw_buf_len : int array;
+  raw_pipe_has : Bytes.t array;
   raw_dirty_list : int array;
 }
 
@@ -1705,12 +1719,9 @@ let raw t =
     raw_data = t.cdata;
     raw_credit = t.credit;
     raw_buf_len = t.buf_len;
+    raw_pipe_has = t.pipe_has;
     raw_dirty_list = t.dirty_list;
   }
-
-(** Both valid and ready: this channel transfers a token this cycle
-    (meaningful between settle and step, i.e. at [After_settle]). *)
-let channel_fired t cid = fired t cid
 
 (** The engine's incremental count of channels currently firing — what
     the per-cycle transfer accounting uses.  Sanitizers recount fired
@@ -1747,59 +1758,32 @@ let pipeline_busy t uid =
   end
   else None
 
-(** For a rotation or phased arbiter: the input ports currently holding
-    the turn (the only ports whose requests it would grant).  [None] for
-    non-arbiters and priority arbiters (which never refuse a lone
-    requester, so they never starve an input). *)
-let arbiter_turn_holders t uid =
+(** For a rotation or phased arbiter: the input port holding the turn
+    of cluster [i] (a rotation arbiter has the one cluster 0), the only
+    port of that cluster whose request it would grant; [-1] for an
+    empty or absent cluster and for every other unit. *)
+let turn_holder t uid i =
   match t.kcode.(uid) with
   | 9 (* rotation *) ->
       let order = t.rot_order.(uid) in
       let n = Array.length order in
-      if n = 0 then Some [] else Some [ order.(t.arb_turn.(uid) mod n) ]
+      if i <> 0 || n = 0 then -1 else order.(t.arb_turn.(uid) mod n)
   | 10 (* phased *) ->
-      let cls = t.phased_cl.(uid) and turns = t.phased_turns.(uid) in
-      let acc = ref [] in
-      for i = Array.length cls - 1 downto 0 do
+      let cls = t.phased_cl.(uid) in
+      if i < 0 || i >= Array.length cls then -1
+      else
         let cl = cls.(i) in
         let n = Array.length cl in
-        if n > 0 then acc := cl.(turns.(i) mod n) :: !acc
-      done;
-      Some !acc
-  | _ -> None
+        if n = 0 then -1 else cl.(t.phased_turns.(uid).(i) mod n)
+  | _ -> -1
 
 (* ------------------------------------------------------------------ *)
 (* Incremental-monitor fast paths                                      *)
 
-(** Whether this run maintains the dirty channel set (true exactly when
-    a [monitor] is attached). *)
-let dirty_tracking t = t.track_dirty
-
 (** Number of channels whose valid/ready/data changed during this
     cycle's settle (valid between [After_settle] and the next cycle's
-    settle; requires {!dirty_tracking}). *)
+    settle, on a monitored run). *)
 let dirty_count t = t.dirty_n
-
-(** The [i]-th dirty channel id, [0 <= i < dirty_count]. *)
-let dirty_cid t i = t.dirty_list.(i)
-
-(** All live channel ids, ascending.  The returned array is the
-    engine's own — callers must not mutate it. *)
-let live_channel_ids t = t.live_cids
-
-(** Allocation-free unit-state reads for per-cycle monitors: meaningful
-    only for units of the right kind (0 otherwise). *)
-let credit_value t uid = t.credit.(uid)
-
-let buffer_len t uid = t.buf_len.(uid)
-
-let pipeline_fill t uid =
-  let has = t.pipe_has.(uid) in
-  let n = ref 0 in
-  for i = 0 to Bytes.length has - 1 do
-    if bget has i then incr n
-  done;
-  !n
 
 let pp_status ppf = function
   | Completed c -> Fmt.pf ppf "completed at cycle %d" c

@@ -187,10 +187,6 @@ val channel_valid : t -> int -> bool
 val channel_ready : t -> int -> bool
 val channel_data : t -> int -> Dataflow.Types.value
 
-(** Both valid and ready: the channel transfers a token this cycle
-    (meaningful at [After_settle], before the sequential phase). *)
-val channel_fired : t -> int -> bool
-
 (** The engine's incrementally maintained count of firing channels —
     what the per-cycle transfer accounting uses.  {!Sanitizer} recounts
     fired channels independently and cross-checks this. *)
@@ -214,61 +210,50 @@ val pipeline_busy : t -> int -> (int * int) option
     never did.  The raw material of {!Forensics.analyze_livelock}. *)
 val last_fire_cycle : t -> int -> int
 
-(** For rotation/phased arbiters: the input ports currently holding the
-    turn.  [None] for other units (priority arbiters never starve a lone
-    requester). *)
-val arbiter_turn_holders : t -> int -> int list option
+(** [turn_holder t uid i]: for a rotation or phased arbiter, the input
+    port holding the turn of cluster [i] (a rotation arbiter has the one
+    cluster 0) — the only port of that cluster whose request it would
+    grant; [-1] for an empty or absent cluster and for every other unit
+    (priority arbiters never starve a lone requester). *)
+val turn_holder : t -> int -> int -> int
 
-val memory_of : outcome -> Memory.t
 val pp_status : status Fmt.t
 val is_deadlock : outcome -> bool
 val is_completed : outcome -> bool
 
 (** {2 Incremental-monitor fast paths}
 
-    The engine maintains a dirty channel set on monitored runs: every
-    channel whose valid/ready/data changed during the cycle's settle.
-    Since handshake signals only change during settle, the dirty set at
-    [After_settle] of cycle [n] is exactly the channels that differ from
-    their state at [After_settle] of cycle [n-1] — which lets a monitor
-    (e.g. {!Sanitizer}) update per-channel ledgers incrementally instead
-    of rescanning every channel every cycle. *)
-
-(** Whether this run maintains the dirty channel set (true exactly when
-    a [monitor] is attached to {!run}). *)
-val dirty_tracking : t -> bool
+    Every run with a [monitor] attached maintains a dirty channel set:
+    every channel whose valid/ready/data changed during the cycle's
+    settle.  Since handshake signals only change during settle, the
+    dirty set at [After_settle] of cycle [n] is exactly the channels
+    that differ from their state at [After_settle] of cycle [n-1] —
+    which lets a monitor (e.g. {!Sanitizer}) update per-channel ledgers
+    incrementally instead of rescanning every channel every cycle. *)
 
 (** Number of dirty channels this cycle (valid between [After_settle]
-    and the next cycle's settle; requires {!dirty_tracking}). *)
+    and the next cycle's settle, on a monitored run).  The channels are
+    the first [dirty_count] entries of [raw_dirty_list] (see {!raw}), in
+    first-touch order within the cycle, without duplicates. *)
 val dirty_count : t -> int
 
-(** The [i]-th dirty channel id, [0 <= i < dirty_count].  Order is
-    first-touch order within the cycle, without duplicates. *)
-val dirty_cid : t -> int -> int
-
-(** All live channel ids, ascending.  The returned array is the engine's
-    own — callers must not mutate it. *)
-val live_channel_ids : t -> int array
-
-(** Allocation-free unit-state reads for per-cycle monitors.  Meaningful
-    only for units of the right kind (0 otherwise): current credits of a
-    credit counter, current occupancy of a buffer, tokens in flight of a
-    pipelined unit. *)
-val credit_value : t -> int -> int
-
-val buffer_len : t -> int -> int
-val pipeline_fill : t -> int -> int
+(** [value_eq a b] is [compare a b = 0] on payloads, without the
+    polymorphic compare: floats compare by [Float.compare], so a NaN
+    payload equals itself. *)
+val value_eq : Dataflow.Types.value -> Dataflow.Types.value -> bool
 
 (** {2 Raw monitor view}
 
     Direct references to the engine's live signal and state arrays, for
     monitors whose per-cycle budget is dominated by accessor-call
-    overhead (without cross-module inlining each read above costs a
+    overhead (without cross-module inlining each accessor read costs a
     call; the sanitizers make hundreds per cycle).  Indexes are channel
     ids ([raw_valid]/[raw_ready]: byte [<> '\000'] means asserted;
-    [raw_data]) or unit ids ([raw_credit], [raw_buf_len]);
-    [raw_dirty_list] holds {!dirty_count} valid entries while
-    {!dirty_tracking}.  The arrays are the simulation state itself, not
+    [raw_data]) or unit ids ([raw_credit], [raw_buf_len], and
+    [raw_pipe_has]: one byte per pipeline stage, [<> '\000'] when the
+    stage holds a token, empty for units without a pipeline);
+    [raw_dirty_list] holds {!dirty_count} valid entries on a monitored
+    run.  The arrays are the simulation state itself, not
     copies: they stay current across cycles, and callers must never
     write to them. *)
 type raw = {
@@ -277,6 +262,7 @@ type raw = {
   raw_data : Dataflow.Types.value array;
   raw_credit : int array;
   raw_buf_len : int array;
+  raw_pipe_has : Bytes.t array;
   raw_dirty_list : int array;
 }
 

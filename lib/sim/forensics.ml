@@ -41,9 +41,275 @@ type report = { cycle : int; edges : edge list; cores : core list }
     complete — so pure starvation deadlocks with no stuck token anywhere
     are traced too. *)
 
-type flavor = As_producer | As_consumer
+(* The demand rules run inside the sanitizer's watchdog probe, thousands
+   of times per monitored run, so they work on tables precomputed once
+   per simulation (unit kinds and port rows, channel endpoints by id,
+   the engine's live signal arrays) and add each wait straight to an
+   int-array adjacency: a demand expansion allocates nothing.  The full
+   report and the probe run the same fixpoint, so they agree by
+   construction.
 
-(** [conservative] suppresses the edges that are only exact once the
+   A wait is on a channel's producer ([awaiting], an [Awaiting_token]
+   edge) or on its consumer ([blocked], a [Blocked_output] edge); the
+   bit is also the flavor the wait demands of its target (0 producer,
+   1 consumer). *)
+let awaiting = 0
+let blocked = 1
+
+(** Per-simulation tables and workspace of the demand fixpoint.
+    Everything a probe mutates is reset afterwards by walking only the
+    units it touched, so one scratch serves any number of probes of its
+    simulation. *)
+type probe_scratch = {
+  ps_sim : Engine.t;
+  ps_valid : Bytes.t;  (** the engine's live signal arrays *)
+  ps_ready : Bytes.t;
+  ps_data : value array;
+  ps_credit : int array;
+  ps_pipe : Bytes.t array;
+  ps_kind : kind array;
+  ps_in : int array array;  (** per unit: input channel per port *)
+  ps_out : int array array;  (** per unit: output channel per port *)
+  ps_expands : Bytes.t;
+      (** per unit: bit [1 lsl flavor] set when a demand of that flavor
+          can emit a wait at all, and [x_same] when both flavors' rules
+          are one rule *)
+  ps_csrc : int array;  (** channel id -> producer unit *)
+  ps_cdst : int array;  (** channel id -> consumer unit *)
+  ps_exits : int array;  (** Exit unit ids, ascending *)
+  ps_mark : Bytes.t;
+      (** per unit: demanded as a producer ([1]) and as a consumer ([2]),
+          [m_touched], and the DFS colors [m_grey] and [m_black] *)
+  ps_frontier : int array;
+      (** FIFO of demanded [(unit lsl 1) lor flavor], each pushed once *)
+  mutable ps_head : int;
+  mutable ps_tail : int;
+  ps_first : int array;  (** per unit: its latest out-edge, [-1] for none *)
+  mutable ps_esrc : int array;  (** per edge, in discovery order: source *)
+  mutable ps_edst : int array;  (** target unit *)
+  mutable ps_ewait : int array;  (** [(channel lsl 1) lor bit] *)
+  mutable ps_enext : int array;  (** the source's previous out-edge *)
+  mutable ps_edges : int;
+  ps_touched : int array;  (** units with an edge or a demand *)
+  mutable ps_touched_n : int;
+  ps_cursor : int array;  (** per unit on the DFS stack: next edge *)
+  ps_stack : int array;
+}
+
+(* [ps_mark] bits besides the demand bits, which are [1 lsl bit] for
+   the wait bit that demanded the unit. *)
+let m_touched = 4
+let m_grey = 8
+let m_black = 16
+
+(* The [ps_expands] bit of a unit whose two rules are one. *)
+let x_same = 4
+
+let probe_scratch sim =
+  let g = Engine.graph_of sim in
+  let nu = max 1 g.Graph.n_units in
+  let nc = max 1 g.Graph.n_channels in
+  let csrc = Array.make nc 0 and cdst = Array.make nc 0 in
+  Graph.iter_channels g (fun c ->
+      csrc.(c.Graph.id) <- c.Graph.src.Graph.unit_id;
+      cdst.(c.Graph.id) <- c.Graph.dst.Graph.unit_id);
+  let kinds = Array.make nu Stub in
+  let expands = Bytes.make nu '\000' in
+  let exits = ref [] in
+  Graph.iter_units g (fun u ->
+      let uid = u.Graph.uid in
+      kinds.(uid) <- u.Graph.kind;
+      (* producer rules exist for every kind but sources; consumer rules
+         only for the kinds whose firing condition mentions more than
+         the refused input's own downstream (see [expand]) *)
+      Bytes.set expands uid
+        (Char.chr
+           (match u.Graph.kind with
+           | Entry _ | Stub -> 0
+           | Join _ | Operator _ | Store _ | Mux _ | Branch _ | Arbiter _ ->
+               1 lor 2 lor x_same
+           | Fork { lazy_ = true; _ } -> 1 lor 2
+           | _ -> 1));
+      if u.Graph.kind = Exit then exits := uid :: !exits);
+  let r = Engine.raw sim in
+  {
+    ps_sim = sim;
+    ps_valid = r.Engine.raw_valid;
+    ps_ready = r.Engine.raw_ready;
+    ps_data = r.Engine.raw_data;
+    ps_credit = r.Engine.raw_credit;
+    ps_pipe = r.Engine.raw_pipe_has;
+    ps_kind = kinds;
+    ps_in = g.Graph.in_of;
+    ps_out = g.Graph.out_of;
+    ps_expands = expands;
+    ps_csrc = csrc;
+    ps_cdst = cdst;
+    ps_exits = Array.of_list (List.rev !exits);
+    ps_mark = Bytes.make nu '\000';
+    ps_frontier = Array.make (2 * nu) 0;
+    ps_head = 0;
+    ps_tail = 0;
+    ps_first = Array.make nu (-1);
+    ps_esrc = Array.make (2 * nc) 0;
+    ps_edst = Array.make (2 * nc) 0;
+    ps_ewait = Array.make (2 * nc) 0;
+    ps_enext = Array.make (2 * nc) 0;
+    ps_edges = 0;
+    ps_touched = Array.make nu 0;
+    ps_touched_n = 0;
+    ps_cursor = Array.make nu 0;
+    ps_stack = Array.make nu 0;
+  }
+
+(* Workspace updates.  A unit enters [ps_touched] the first time it
+   gains an edge or a demand; every grey or black unit of the DFS is the
+   target of an edge, hence demanded, hence touched — so clearing the
+   touched units' marks and edge lists resets everything.  The arrays
+   are sized to the graph and indexed by its unit ids, channel ids and
+   the bounded counters below, so the updates skip bounds checks. *)
+let[@inline] mark ps u = Char.code (Bytes.unsafe_get ps.ps_mark u)
+let[@inline] set_mark ps u m = Bytes.unsafe_set ps.ps_mark u (Char.unsafe_chr m)
+
+let[@inline] touch ps u m =
+  if m land m_touched = 0 then begin
+    Array.unsafe_set ps.ps_touched ps.ps_touched_n u;
+    ps.ps_touched_n <- ps.ps_touched_n + 1
+  end
+
+(* Demand [u] as a producer ([bit = awaiting]) or as a consumer.  A
+   demand its unit's rules answer with no wait is only marked, and so is
+   the second flavor of a unit whose two rules are one: its expansion
+   would repeat the first one's edges. *)
+let[@inline] demand ps u bit =
+  let m = mark ps u in
+  let flag = 1 lsl bit in
+  if m land flag = 0 then begin
+    touch ps u m;
+    set_mark ps u (m lor flag lor m_touched);
+    let x = Char.code (Bytes.unsafe_get ps.ps_expands u) in
+    if x land flag <> 0 && not (x land x_same <> 0 && m land 3 <> 0) then begin
+      Array.unsafe_set ps.ps_frontier ps.ps_tail ((u lsl 1) lor bit);
+      ps.ps_tail <- ps.ps_tail + 1
+    end
+  end
+
+let grow_edges ps =
+  let grow a = Array.append a (Array.make (Array.length a) 0) in
+  ps.ps_esrc <- grow ps.ps_esrc;
+  ps.ps_edst <- grow ps.ps_edst;
+  ps.ps_ewait <- grow ps.ps_ewait;
+  ps.ps_enext <- grow ps.ps_enext
+
+(* [src] waits on the producer ([bit = awaiting]) or the consumer of
+   channel [cid], and demands it.  [src] is already touched. *)
+let[@inline] wait ps src cid bit =
+  let dst =
+    Array.unsafe_get (if bit = awaiting then ps.ps_csrc else ps.ps_cdst) cid
+  in
+  let e = ps.ps_edges in
+  if e = Array.length ps.ps_edst then grow_edges ps;
+  Array.unsafe_set ps.ps_esrc e src;
+  Array.unsafe_set ps.ps_edst e dst;
+  Array.unsafe_set ps.ps_ewait e ((cid lsl 1) lor bit);
+  Array.unsafe_set ps.ps_enext e (Array.unsafe_get ps.ps_first src);
+  Array.unsafe_set ps.ps_first src e;
+  ps.ps_edges <- e + 1;
+  demand ps dst bit
+
+let[@inline] in_cid ps uid p =
+  let row = Array.unsafe_get ps.ps_in uid in
+  if p < Array.length row then Array.unsafe_get row p else -1
+
+let[@inline] rvalid ps cid = Bytes.unsafe_get ps.ps_valid cid <> '\000'
+let[@inline] rready ps cid = Bytes.unsafe_get ps.ps_ready cid <> '\000'
+
+let port_valid ps uid p =
+  let cid = in_cid ps uid p in
+  cid >= 0 && rvalid ps cid
+
+(* A pipelined unit with tokens in flight. *)
+let busy ps uid =
+  let has = Array.unsafe_get ps.ps_pipe uid in
+  let any = ref false and i = ref 0 in
+  while (not !any) && !i < Bytes.length has do
+    if Bytes.unsafe_get has !i <> '\000' then any := true;
+    incr i
+  done;
+  !any
+
+(* A starved operand: port [p] shows no token. *)
+let[@inline] await ps uid p =
+  let cid = in_cid ps uid p in
+  if cid >= 0 && not (rvalid ps cid) then wait ps uid cid awaiting
+
+(* Starved-operand waits for ports [0 .. n-1]. *)
+let await_n ps uid n =
+  for p = 0 to n - 1 do
+    await ps uid p
+  done
+
+(* Cross-gated units (arbiter, lazy fork) assert VALID on every output
+   while a grant is pending, so an output that shows no VALID carries no
+   obligation — an edge over it would pair with the consumer's own
+   awaiting-token edge into a vacuous cycle. *)
+let gated ps uid =
+  let row = Array.unsafe_get ps.ps_out uid in
+  for p = 0 to Array.length row - 1 do
+    let cid = Array.unsafe_get row p in
+    if cid >= 0 && rvalid ps cid && not (rready ps cid) then
+      wait ps uid cid blocked
+  done
+
+(* Data inputs the unit's firing needs and cannot currently see.  The
+   await filter keeps only the invalid ones, so over-approximating with
+   the full operand set is fine. *)
+let mux_await ps uid inputs =
+  let sel = in_cid ps uid 0 in
+  if sel >= 0 then
+    if not (rvalid ps sel) then await ps uid 0
+    else
+      (* Selector present: only the chosen data input can help. *)
+      match ps.ps_data.(sel) with
+      | VBool b -> await ps uid (if b then 1 else 2)
+      | VInt i when i >= 0 && i < inputs -> await ps uid (1 + i)
+      | _ -> ()
+
+(* The arbiter's starved-requester waits; a grant-complete arbiter (no
+   such wait) falls back to its output gating instead. *)
+let arbiter_or_gated ps uid ~conservative inputs policy =
+  let before = ps.ps_edges in
+  (match policy with
+  | Priority _ ->
+      (* Any requester is served, so it starves only with none.  The
+         all-inputs demand is an OR-wait (one arrival suffices), exact
+         only at quiescence — a conservative probe stays silent. *)
+      let any = ref false in
+      for p = 0 to inputs - 1 do
+        if port_valid ps uid p then any := true
+      done;
+      if (not !any) && not conservative then await_n ps uid inputs
+  | Rotation _ | Phased _ ->
+      (* Only the turn holder(s) can be served (Figure 1d).  A phased
+         arbiter with several clusters holds an OR-wait across their
+         holders; conservatively only a lone holder is a real wait. *)
+      let n = match policy with Phased cl -> List.length cl | _ -> 1 in
+      let holders = ref 0 in
+      for i = 0 to n - 1 do
+        if Engine.turn_holder ps.ps_sim uid i >= 0 then incr holders
+      done;
+      if not (conservative && !holders > 1) then
+        for i = 0 to n - 1 do
+          let p = Engine.turn_holder ps.ps_sim uid i in
+          if p >= 0 then await ps uid p
+        done);
+  if ps.ps_edges = before then gated ps uid
+
+(** The demand rules: add the waits of unit [uid] demanded as a producer
+    ([bit = awaiting]) or as a consumer ([bit = blocked]), in ascending
+    port order (turn-holder order for rotation/phased arbiters).
+
+    [conservative] suppresses the edges that are only exact once the
     circuit has quiesced, so that a mid-flight probe never reports a
     cycle that in-flight tokens could still break:
 
@@ -52,226 +318,115 @@ type flavor = As_producer | As_consumer
       have), unsound mid-flight;
     - a pipelined unit (operator/load/store) with tokens in flight will
       deliver its output without consuming anything, so demanding its
-      inputs mid-flight manufactures waits that drain on their own. *)
-let demanded_iter ?(conservative = false) sim g uid flavor ~f =
-  let kind = Graph.kind_of g uid in
-  (* Raw channel-id plumbing: this function runs inside the sanitizer's
-     per-trigger probe fixpoint, thousands of times per monitored run,
-     so it reads the graph's flat port tables and the engine's raw
-     signal arrays directly and yields [(channel, reason)] pairs to [f]
-     instead of allocating edge records — an [Awaiting_token] pair is a
-     wait on the channel's producer, a [Blocked_output] pair on its
-     consumer.  Emission order is ascending port order (turn-holder
-     order for rotation/phased arbiters), which {!demanded_edges}
-     relies on. *)
-  let r = Engine.raw sim in
-  let rvalid cid = Bytes.get r.Engine.raw_valid cid <> '\000' in
-  let rready cid = Bytes.get r.Engine.raw_ready cid <> '\000' in
-  let in_cid p =
-    let row = g.Graph.in_of.(uid) in
-    if p < Array.length row then Array.unsafe_get row p else -1
-  in
-  let valid p =
-    let cid = in_cid p in
-    cid >= 0 && rvalid cid
-  in
-  let await p =
-    let cid = in_cid p in
-    if cid >= 0 && not (rvalid cid) then f cid Awaiting_token
-  in
-  (* Starved-operand edges for ports [0 .. n-1]. *)
-  let await_n n =
-    for p = 0 to n - 1 do
-      await p
-    done
-  in
-  let await2 p q =
-    await p;
-    await q
-  in
-  let gated () =
-    (* Cross-gated units (arbiter, lazy fork) assert VALID on every
-       output while a grant is pending, so an output that shows no
-       VALID carries no obligation — an edge over it would pair with
-       the consumer's own awaiting-token edge into a vacuous cycle. *)
-    let row = g.Graph.out_of.(uid) in
-    for p = 0 to Array.length row - 1 do
-      let cid = Array.unsafe_get row p in
-      if cid >= 0 && rvalid cid && not (rready cid) then
-        f cid Blocked_output
-    done
-  in
-  (* Data inputs the unit's firing needs and cannot currently see.  The
-     await filter keeps only the invalid ones, so over-approximating
-     with the full operand set is fine. *)
-  let mux_await inputs =
-    let sel = in_cid 0 in
-    if sel >= 0 then
-      if not (rvalid sel) then await 0
-      else
-        (* Selector present: only the chosen data input can help. *)
-        match r.Engine.raw_data.(sel) with
-        | VBool b -> await (if b then 1 else 2)
-        | VInt i when i >= 0 && i < inputs -> await (1 + i)
-        | _ -> ()
-  in
-  (* Emits the arbiter's starved-requester waits; returns whether any
-     edge was emitted (a grant-complete arbiter falls back to its
-     output gating instead). *)
-  let arbiter_await inputs policy emitted =
-    let track cid reason =
-      emitted := true;
-      f cid reason
-    in
-    (match policy with
-    | Priority _ ->
-        (* Any requester is served, so it starves only with none.  The
-           all-inputs demand is an OR-wait (one arrival suffices), exact
-           only at quiescence — a conservative probe stays silent. *)
-        let any = ref false in
-        for p = 0 to inputs - 1 do
-          if valid p then any := true
-        done;
-        if (not !any) && not conservative then
-          for p = 0 to inputs - 1 do
-            let cid = in_cid p in
-            if cid >= 0 && not (rvalid cid) then track cid Awaiting_token
-          done
-    | Rotation _ | Phased _ -> (
-        (* Only the turn holder(s) can be served (Figure 1d).  A phased
-           arbiter with several clusters holds an OR-wait across their
-           holders; conservatively only a lone holder is a real wait. *)
-        match Engine.arbiter_turn_holders sim uid with
-        | Some holders ->
-            if not (conservative && List.length holders > 1) then
-              List.iter
-                (fun p ->
-                  let cid = in_cid p in
-                  if cid >= 0 && not (rvalid cid) then
-                    track cid Awaiting_token)
-                holders
-        | None -> ()));
-    !emitted
-  in
-  let arbiter_or_gated inputs policy =
-    if not (arbiter_await inputs policy (ref false)) then gated ()
-  in
-  (* Output-gating edges are only genuine for units whose output VALID
-     is crossed-gated by a sibling output's readiness (arbiter outputs
-     fire together; a lazy fork is all-or-nothing).  Every other kind
-     drives valid from its inputs alone, so a downstream block shows up
-     as a base [valid && not ready] edge — emitting gated edges for them
-     too would manufacture false cycles through channels that carry no
-     obligation (e.g. an eager fork's already-delivered outputs). *)
-  let busy () = Engine.pipeline_fill sim uid > 0 in
-  match flavor with
-  | As_producer -> (
-      match kind with
-      | Entry _ | Stub -> () (* a source: if exhausted, nothing can revive it *)
-      | Exit | Sink | Const _ | Buffer _ -> await 0
-      | Load _ -> if not (conservative && busy ()) then await 0
-      | Fork { lazy_ = false; _ } -> await 0
-      | Fork { lazy_ = true; _ } ->
-          (* All-or-nothing: every sibling must be ready too. *)
-          if valid 0 then gated () else await 0
-      | Join { inputs; _ } -> await_n inputs
-      | Operator { ports; _ } ->
-          if not (conservative && busy ()) then await_n ports
-      | Store _ -> if not (conservative && busy ()) then await2 0 1
-      | Merge { inputs } ->
-          (* An OR-wait; but the circuit is quiesced, so an alternative
-             producer that could fire would have — all branches are dead
-             and the AND approximation is exact.  Mid-flight that
-             reasoning fails, so a conservative probe stays silent. *)
-          if not conservative then await_n inputs
-      | Mux { inputs } -> mux_await inputs
-      | Branch _ -> await2 0 1
-      | Arbiter { inputs; policy } ->
-          (* Producing on one output also needs the sibling output ready
-             (they fire together). *)
-          arbiter_or_gated inputs policy
-      | Credit_counter _ ->
-          (* Kind already matched, so the raw per-uid slot is live. *)
-          if r.Engine.raw_credit.(uid) = 0 then await 0 (* credit to return *))
-  | As_consumer -> (
-      (* Why is ready deasserted on an input presenting a token?  The
-         firing condition: sibling operands for all-input-fire units,
-         the grant (and joint output readiness) for arbiters.  Kinds
-         whose refusal can only come from a downstream block need no
-         edges here: the block is visible as a base edge already. *)
-      match kind with
-      | Join { inputs; _ } -> await_n inputs
-      | Operator { ports; _ } ->
-          (* A busy pipeline may refuse an operand merely until a stage
-             advances or its output drains — mid-flight that refusal
-             resolves on its own, so a conservative probe stays silent. *)
-          if not (conservative && busy ()) then await_n ports
-      | Store _ -> if not (conservative && busy ()) then await2 0 1
-      | Mux { inputs } -> mux_await inputs
-      | Branch _ -> await2 0 1
-      | Arbiter { inputs; policy } -> arbiter_or_gated inputs policy
-      | Fork { lazy_ = true; _ } -> gated ()
-      | Entry _ | Exit | Sink | Stub | Const _
-      | Fork { lazy_ = false; _ }
-      | Buffer _ | Load _ | Merge _ | Credit_counter _ ->
-          ())
+      inputs mid-flight manufactures waits that drain on their own.
 
-(** Record-building wrapper over {!demanded_iter} for the full report
-    path ({!wait_edges}); the probe fast path consumes the iterator
-    directly with its precomputed channel-endpoint arrays. *)
-let demanded_edges ?conservative sim g uid flavor =
-  let acc = ref [] in
-  demanded_iter ?conservative sim g uid flavor ~f:(fun cid reason ->
-      let c = Graph.channel_exn g cid in
-      let dst =
-        match reason with
-        | Awaiting_token -> c.Graph.src.Graph.unit_id
-        | Blocked_output -> c.Graph.dst.Graph.unit_id
-      in
-      acc := { src = uid; dst; channel = cid; reason } :: !acc);
-  List.rev !acc
+    Output-gating edges are only genuine for units whose output VALID
+    is cross-gated by a sibling output's readiness (arbiter outputs
+    fire together; a lazy fork is all-or-nothing).  Every other kind
+    drives valid from its inputs alone, so a downstream block shows up
+    as a base [valid && not ready] edge — emitting gated edges for them
+    too would manufacture false cycles through channels that carry no
+    obligation (e.g. an eager fork's already-delivered outputs). *)
+let expand ps ~conservative uid bit =
+  if bit = awaiting then (
+    (* demanded as a producer *)
+    match Array.unsafe_get ps.ps_kind uid with
+    | Entry _ | Stub -> () (* a source: if exhausted, nothing can revive it *)
+    | Exit | Sink | Const _ | Buffer _ | Fork { lazy_ = false; _ } ->
+        await ps uid 0
+    | Load _ -> if not (conservative && busy ps uid) then await ps uid 0
+    | Fork { lazy_ = true; _ } ->
+        (* All-or-nothing: every sibling must be ready too. *)
+        if port_valid ps uid 0 then gated ps uid else await ps uid 0
+    | Join { inputs; _ } -> await_n ps uid inputs
+    | Operator { ports; _ } ->
+        if not (conservative && busy ps uid) then await_n ps uid ports
+    | Store _ -> if not (conservative && busy ps uid) then await_n ps uid 2
+    | Merge { inputs } ->
+        (* An OR-wait; but the circuit is quiesced, so an alternative
+           producer that could fire would have — all branches are dead
+           and the AND approximation is exact.  Mid-flight that
+           reasoning fails, so a conservative probe stays silent. *)
+        if not conservative then await_n ps uid inputs
+    | Mux { inputs } -> mux_await ps uid inputs
+    | Branch _ -> await_n ps uid 2
+    | Arbiter { inputs; policy } ->
+        (* Producing on one output also needs the sibling output ready
+           (they fire together). *)
+        arbiter_or_gated ps uid ~conservative inputs policy
+    | Credit_counter _ ->
+        if ps.ps_credit.(uid) = 0 then await ps uid 0 (* credit to return *))
+  else
+    (* Demanded as a consumer: why is ready deasserted on an input
+       presenting a token?  The firing condition: sibling operands for
+       all-input-fire units, the grant (and joint output readiness) for
+       arbiters.  Kinds whose refusal can only come from a downstream
+       block need no edges here: the block is visible as a base edge
+       already. *)
+    match Array.unsafe_get ps.ps_kind uid with
+    | Join { inputs; _ } -> await_n ps uid inputs
+    | Operator { ports; _ } ->
+        (* A busy pipeline may refuse an operand merely until a stage
+           advances or its output drains — mid-flight that refusal
+           resolves on its own, so a conservative probe stays silent. *)
+        if not (conservative && busy ps uid) then await_n ps uid ports
+    | Store _ -> if not (conservative && busy ps uid) then await_n ps uid 2
+    | Mux { inputs } -> mux_await ps uid inputs
+    | Branch _ -> await_n ps uid 2
+    | Arbiter { inputs; policy } ->
+        arbiter_or_gated ps uid ~conservative inputs policy
+    | Fork { lazy_ = true; _ } -> gated ps uid
+    | Entry _ | Exit | Sink | Stub | Const _
+    | Fork { lazy_ = false; _ }
+    | Buffer _ | Load _ | Merge _ | Credit_counter _ ->
+        ()
+
+(** The demand fixpoint.  The base facts are the blocked channels
+    [stalled.(0 .. n_stalled-1)]: a producer offering a token its
+    consumer refuses waits on that consumer.  The exits are demanded as
+    producers.  Then every demand is expanded once, first in first out,
+    into waits that demand their targets in turn.  Leaves the wait-for
+    graph in the scratch's edge arrays, in discovery order. *)
+let close ps ~conservative ~stalled ~n_stalled =
+  for i = 0 to n_stalled - 1 do
+    let cid = stalled.(i) in
+    let src = ps.ps_csrc.(cid) in
+    let m = mark ps src in
+    touch ps src m;
+    set_mark ps src (m lor m_touched);
+    wait ps src cid blocked
+  done;
+  for i = 0 to Array.length ps.ps_exits - 1 do
+    demand ps ps.ps_exits.(i) awaiting
+  done;
+  while ps.ps_head < ps.ps_tail do
+    let d = Array.unsafe_get ps.ps_frontier ps.ps_head in
+    ps.ps_head <- ps.ps_head + 1;
+    expand ps ~conservative (d lsr 1) (d land 1)
+  done
 
 (** The full wait-for graph of a quiesced simulator state (or, with
-    [~conservative:true], a sound under-approximation of it mid-flight). *)
-let wait_edges ?conservative sim =
-  let g = Engine.graph_of sim in
-  let edges = ref [] in
-  let seen = Hashtbl.create 64 in
-  let demanded = Hashtbl.create 64 in
-  let frontier = Queue.create () in
-  let demand u flavor =
-    if not (Hashtbl.mem demanded (u, flavor)) then begin
-      Hashtbl.replace demanded (u, flavor) ();
-      Queue.add (u, flavor) frontier
+    [~conservative:true], a sound under-approximation of it mid-flight),
+    in discovery order, without duplicate edges. *)
+let wait_edges ?(conservative = false) sim =
+  let ps = probe_scratch sim in
+  let stalled = Array.of_list (Engine.stalled_channels sim) in
+  close ps ~conservative ~stalled ~n_stalled:(Array.length stalled);
+  let seen = Hashtbl.create 64 and edges = ref [] in
+  for e = 0 to ps.ps_edges - 1 do
+    let w = ps.ps_ewait.(e) in
+    let edge =
+      {
+        src = ps.ps_esrc.(e);
+        dst = ps.ps_edst.(e);
+        channel = w lsr 1;
+        reason = (if w land 1 = awaiting then Awaiting_token else Blocked_output);
+      }
+    in
+    if not (Hashtbl.mem seen edge) then begin
+      Hashtbl.replace seen edge ();
+      edges := edge :: !edges
     end
-  in
-  let add e =
-    let key = (e.src, e.dst, e.channel, e.reason) in
-    if not (Hashtbl.mem seen key) then begin
-      Hashtbl.replace seen key ();
-      edges := e :: !edges;
-      demand e.dst
-        (match e.reason with
-        | Awaiting_token -> As_producer
-        | Blocked_output -> As_consumer)
-    end
-  in
-  Graph.iter_channels g (fun c ->
-      let cid = c.Graph.id in
-      if Engine.channel_valid sim cid && not (Engine.channel_ready sim cid)
-      then
-        add
-          {
-            src = c.Graph.src.Graph.unit_id;
-            dst = c.Graph.dst.Graph.unit_id;
-            channel = cid;
-            reason = Blocked_output;
-          });
-  Graph.iter_units g (fun u ->
-      if u.Graph.kind = Exit then demand u.Graph.uid As_producer);
-  while not (Queue.is_empty frontier) do
-    let u, flavor = Queue.pop frontier in
-    List.iter add (demanded_edges ?conservative sim g u flavor)
   done;
   List.rev !edges
 
@@ -429,164 +584,74 @@ let analyze (outcome : Engine.outcome) =
     quiescence. *)
 let probe sim ~cycle = build_report ~conservative:true sim ~cycle
 
-(** Does the conservative probe find a cyclic core at all?  Same edge
-    set as {!probe} (the same [demanded_edges] fixpoint over the same
-    base facts), but builds only an adjacency array and answers
-    cycle-existence by one DFS — no hashtables, no SCC partition, no
-    notes, no report.  A directed cycle exists iff the probe's core
-    list is non-empty (a core is an SCC of size > 1 or a self-loop),
-    so [probe_core_exists sim = (probe sim ~cycle).cores <> []] for
-    every state.  This is the sanitizer's per-trigger fast path: most
-    wait-cycle probes come back clean, and a clean answer here costs a
-    fraction of a full report. *)
-
-(** Preallocated workspace for {!probe_core_exists}: per-unit adjacency
-    and coloring arrays sized to one graph, plus the static facts every
-    probe re-derives (channel endpoints by id, the Exit unit list).
-    Reused across thousands of probes per run; everything mutable is
-    reset after each call by walking only the units actually touched. *)
-type probe_scratch = {
-  ps_nu : int;
-  ps_succ : int list array;          (** per-unit successor lists *)
-  ps_demanded : Bytes.t;             (** 2 flags per unit, one per flavor *)
-  ps_color : Bytes.t;                (** DFS white/grey/black *)
-  mutable ps_touched : int list;     (** units with succ or demand flags *)
-  mutable ps_colored : int list;     (** units with a non-white color *)
-  ps_csrc : int array;               (** channel id -> producer unit *)
-  ps_cdst : int array;               (** channel id -> consumer unit *)
-  ps_exits : int array;              (** Exit unit ids *)
-}
-
-let probe_scratch sim =
-  let g = Engine.graph_of sim in
-  let nu = max 1 g.Graph.n_units in
-  let nc = max 1 g.Graph.n_channels in
-  let csrc = Array.make nc 0 and cdst = Array.make nc 0 in
-  Graph.iter_channels g (fun c ->
-      csrc.(c.Graph.id) <- c.Graph.src.Graph.unit_id;
-      cdst.(c.Graph.id) <- c.Graph.dst.Graph.unit_id);
-  let exits = ref [] in
-  Graph.iter_units g (fun u ->
-      if u.Graph.kind = Exit then exits := u.Graph.uid :: !exits);
-  {
-    ps_nu = nu;
-    ps_succ = Array.make nu [];
-    ps_demanded = Bytes.make (2 * nu) '\000';
-    ps_color = Bytes.make nu '\000';
-    ps_touched = [];
-    ps_colored = [];
-    ps_csrc = csrc;
-    ps_cdst = cdst;
-    ps_exits = Array.of_list !exits;
-  }
-
-let probe_core_exists ?scratch ?stalled sim =
-  let g = Engine.graph_of sim in
-  let ps = match scratch with Some ps -> ps | None -> probe_scratch sim in
-  let succ = ps.ps_succ and demanded = ps.ps_demanded in
-  let frontier = ref [] in
-  let touch u =
-    if
-      succ.(u) = []
-      && Bytes.get demanded (2 * u) = '\000'
-      && Bytes.get demanded ((2 * u) + 1) = '\000'
-    then ps.ps_touched <- u :: ps.ps_touched
-  in
-  let demand u flavor =
-    let i = (2 * u) + match flavor with As_producer -> 0 | As_consumer -> 1 in
-    if Bytes.get demanded i = '\000' then begin
-      touch u;
-      Bytes.set demanded i '\001';
-      frontier := (u, flavor) :: !frontier
-    end
-  in
-  (* Duplicate adjacency entries are harmless for cycle existence, so
-     edges need no dedup — only the demand expansion does. *)
-  let add_edge src dst reason =
-    touch src;
-    succ.(src) <- dst :: succ.(src);
-    demand dst
-      (match reason with
-      | Awaiting_token -> As_producer
-      | Blocked_output -> As_consumer)
-  in
-  (* Seed with the blocked channels: every [valid && not ready] channel.
-     A caller already maintaining that set (the {!Sanitizer} watchdog)
-     passes it in; otherwise scan. *)
-  (match stalled with
-  | Some (cids, n) ->
-      for i = 0 to n - 1 do
-        let cid = cids.(i) in
-        add_edge ps.ps_csrc.(cid) ps.ps_cdst.(cid) Blocked_output
+(* Iterative DFS from every touched unit, white/grey/black: a grey hit
+   is a back edge, i.e. a directed cycle (self-loops included). *)
+let has_cycle ps =
+  let stack = ps.ps_stack and cursor = ps.ps_cursor and first = ps.ps_first in
+  let found = ref false and i = ref 0 in
+  let edst = ps.ps_edst and enext = ps.ps_enext in
+  while (not !found) && !i < ps.ps_touched_n do
+    let s = Array.unsafe_get ps.ps_touched !i in
+    incr i;
+    let m = mark ps s in
+    let e = Array.unsafe_get first s in
+    (* a unit nobody waits on (no demand bit) is on no cycle *)
+    if m land (m_grey lor m_black) = 0 && m land 3 <> 0 && e >= 0 then begin
+      set_mark ps s (m lor m_grey);
+      Array.unsafe_set cursor s e;
+      Array.unsafe_set stack 0 s;
+      let sp = ref 1 in
+      while (not !found) && !sp > 0 do
+        let u = Array.unsafe_get stack (!sp - 1) in
+        let e = Array.unsafe_get cursor u in
+        if e < 0 then begin
+          set_mark ps u (mark ps u lxor (m_grey lor m_black));
+          decr sp
+        end
+        else begin
+          Array.unsafe_set cursor u (Array.unsafe_get enext e);
+          let v = Array.unsafe_get edst e in
+          let mv = mark ps v in
+          if mv land m_grey <> 0 then found := true
+          else if mv land m_black = 0 then begin
+            let ev = Array.unsafe_get first v in
+            if ev < 0 then set_mark ps v (mv lor m_black) (* a dead end *)
+            else begin
+              set_mark ps v (mv lor m_grey);
+              Array.unsafe_set cursor v ev;
+              Array.unsafe_set stack !sp v;
+              incr sp
+            end
+          end
+        end
       done
-  | None ->
-      Graph.iter_channels g (fun c ->
-          let cid = c.Graph.id in
-          if
-            Engine.channel_valid sim cid
-            && not (Engine.channel_ready sim cid)
-          then
-            add_edge c.Graph.src.Graph.unit_id c.Graph.dst.Graph.unit_id
-              Blocked_output));
-  Array.iter (fun uid -> demand uid As_producer) ps.ps_exits;
-  let continue_ = ref true in
-  while !continue_ do
-    match !frontier with
-    | [] -> continue_ := false
-    | (u, flavor) :: rest ->
-        frontier := rest;
-        demanded_iter ~conservative:true sim g u flavor ~f:(fun cid reason ->
-            let dst =
-              match reason with
-              | Awaiting_token -> ps.ps_csrc.(cid)
-              | Blocked_output -> ps.ps_cdst.(cid)
-            in
-            add_edge u dst reason)
+    end
   done;
-  (* Iterative DFS, white/grey/black: a grey hit is a back edge, i.e. a
-     directed cycle (self-loops included). *)
-  let color = ps.ps_color in
-  let shade u c =
-    if Bytes.get color u = '\000' then ps.ps_colored <- u :: ps.ps_colored;
-    Bytes.set color u c
-  in
-  let cycle_found = ref false in
-  List.iter
-    (fun s ->
-      if (not !cycle_found) && Bytes.get color s = '\000' && succ.(s) <> []
-      then begin
-        shade s '\001';
-        let stk = ref [ (s, succ.(s)) ] in
-        while (not !cycle_found) && !stk <> [] do
-          match !stk with
-          | [] -> ()
-          | (u, next) :: rest -> (
-              match next with
-              | [] ->
-                  shade u '\002';
-                  stk := rest
-              | v :: vs -> (
-                  stk := (u, vs) :: rest;
-                  match Bytes.get color v with
-                  | '\000' ->
-                      shade v '\001';
-                      stk := (v, succ.(v)) :: !stk
-                  | '\001' -> cycle_found := true
-                  | _ -> ()))
-        done
-      end)
-    ps.ps_touched;
+  !found
+
+(** Does the conservative probe find a cyclic core at all?  Same
+    fixpoint as {!probe}, but answers cycle-existence by one DFS over
+    the adjacency arrays — no hashtables, no SCC partition, no notes, no
+    report, and no allocation.  A directed cycle exists iff the probe's
+    core list is non-empty (a core is an SCC of size > 1 or a
+    self-loop), so the answer equals [(probe sim ~cycle).cores <> []]
+    for every state.  This is the sanitizer's per-trigger fast path:
+    most wait-cycle probes come back clean, and a clean answer here
+    costs a fraction of a full report. *)
+let probe_core_exists ps ~stalled ~n_stalled =
+  close ps ~conservative:true ~stalled ~n_stalled;
+  let found = has_cycle ps in
   (* Reset the scratch by undoing only what this probe touched. *)
-  List.iter
-    (fun u ->
-      succ.(u) <- [];
-      Bytes.set demanded (2 * u) '\000';
-      Bytes.set demanded ((2 * u) + 1) '\000')
-    ps.ps_touched;
-  List.iter (fun u -> Bytes.set color u '\000') ps.ps_colored;
-  ps.ps_touched <- [];
-  ps.ps_colored <- [];
-  !cycle_found
+  for i = 0 to ps.ps_touched_n - 1 do
+    let u = Array.unsafe_get ps.ps_touched i in
+    Array.unsafe_set ps.ps_first u (-1);
+    set_mark ps u 0
+  done;
+  ps.ps_touched_n <- 0;
+  ps.ps_edges <- 0;
+  ps.ps_head <- 0;
+  ps.ps_tail <- 0;
+  found
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)

@@ -59,27 +59,29 @@ val analyze : Engine.outcome -> report option
     convict a wedged sharing wrapper long before global quiescence. *)
 val probe : Engine.t -> cycle:int -> report
 
-(** Preallocated workspace for {!probe_core_exists}, sized to one
-    simulation's graph and reusable across any number of probes of that
-    simulation.  Probing with a scratch is allocation-light: the per-call
-    cost is proportional to the blocked region, not the whole graph. *)
+(** Per-simulation tables and workspace for {!probe_core_exists}: each
+    unit's kind and port rows, channel endpoints, the exits, and the
+    int-array frontier, adjacency and DFS stack, sized to one
+    simulation's graph.  Bound to the simulation it was built from and
+    reusable across any number of probes of it.  A probe with it
+    allocates nothing: its cost is proportional to the blocked region,
+    not the whole graph. *)
 type probe_scratch
 
 val probe_scratch : Engine.t -> probe_scratch
 
-(** Cheap cycle-existence form of {!probe}: same conservative wait-for
-    edge set, but answers only whether a cyclic core exists —
-    [probe_core_exists sim] iff [(probe sim ~cycle).cores <> []] — with
-    one DFS over a flat adjacency array instead of the full SCC
-    partition and report.  [stalled] optionally supplies the seed set
-    (the first [n] entries of the array are exactly the channel ids with
-    [valid && not ready] this cycle), sparing the probe its only
-    whole-graph scan; the caller is responsible for the set being exact.
-    {!Sanitizer} calls this on every wait-cycle trigger — with its
-    incrementally maintained stalled set — and only pays for the full
-    {!probe} on conviction. *)
+(** Cheap cycle-existence form of {!probe} on the scratch's simulation:
+    same conservative wait-for edge set, but answers only whether a
+    cyclic core exists — [probe_core_exists ps ~stalled ~n_stalled] iff
+    [(probe sim ~cycle).cores <> []] — with one DFS over the adjacency
+    arrays instead of the full SCC partition and report.  The first
+    [n_stalled] entries of [stalled] must be exactly the channel ids
+    with [valid && not ready] this cycle (in any order): the seed set,
+    which spares the probe a whole-graph scan.  {!Sanitizer} calls this
+    on every wait-cycle trigger, with its incrementally maintained
+    stalled set, and only pays for the full {!probe} on conviction. *)
 val probe_core_exists :
-  ?scratch:probe_scratch -> ?stalled:int array * int -> Engine.t -> bool
+  probe_scratch -> stalled:int array -> n_stalled:int -> bool
 
 (** {2 Livelock snapshot}
 

@@ -290,16 +290,31 @@ let test_sanitizer_silence () =
 (* ------------------------------------------------------------------ *)
 (* Probe self-consistency: the fast cycle-existence probe was rewritten
    on flat arrays; on every settled state of a wedging circuit it must
-   agree with the full SCC-partitioning probe it summarizes. *)
+   agree with the full SCC-partitioning probe it summarizes.  One
+   scratch serves the whole run, as in the sanitizer, so a probe that
+   leaves stale state behind shows up as a disagreement. *)
 
 let test_probe_consistency () =
   List.iter
     (fun fault ->
       let g = Crush.Faults.inject (Crush.Paper_examples.fig1 ()) fault in
       let checked = ref 0 in
+      let scratch = ref None in
       let monitor sim ~cycle = function
         | Sim.Engine.After_settle ->
-            let fast = Sim.Forensics.probe_core_exists sim in
+            let ps =
+              match !scratch with
+              | Some ps -> ps
+              | None ->
+                  let ps = Sim.Forensics.probe_scratch sim in
+                  scratch := Some ps;
+                  ps
+            in
+            let stalled = Array.of_list (Sim.Engine.stalled_channels sim) in
+            let fast =
+              Sim.Forensics.probe_core_exists ps ~stalled
+                ~n_stalled:(Array.length stalled)
+            in
             let full =
               (Sim.Forensics.probe sim ~cycle).Sim.Forensics.cores <> []
             in
